@@ -393,10 +393,10 @@ impl Host {
     // Multi-queue workers
     // ------------------------------------------------------------------
 
-    /// Starts multi-queue mode: one worker thread per NIC RSS queue,
-    /// each owning the ring pairs of every connection whose flow hash
-    /// steers to its queue. `n` must equal the NIC's configured queue
-    /// count so ownership is 1:1.
+    /// Starts multi-queue mode: one shard and one worker thread per NIC
+    /// RSS queue, each shard holding the ring pairs of every connection
+    /// whose flow hash steers to its queue. `n` must equal the NIC's
+    /// configured queue count so ownership is 1:1.
     ///
     /// Existing rings migrate into their owning shards; new connections
     /// are placed by the live RSS indirection table. Shard-local
@@ -443,8 +443,9 @@ impl Host {
     }
 
     /// Stops multi-queue mode: quiesces every shard, folds the rings
-    /// back into the host, and joins the worker threads. The host then
-    /// behaves exactly as before [`Host::run_workers`].
+    /// back into the host, and joins the worker threads (dropping the
+    /// pool). The host then behaves exactly as before
+    /// [`Host::run_workers`].
     pub fn stop_workers(&mut self) {
         self.quiesce();
         let Some(mut pool) = self.workers.take() else {
@@ -456,7 +457,6 @@ impl Host {
             }
             self.rings.insert(e.key, (e.rx, e.tx));
         }
-        pool.stop();
     }
 
     /// Whether multi-queue worker mode is active.
@@ -528,7 +528,7 @@ impl Host {
 
     /// Injects a panic into worker shard `shard` (chaos testing). The
     /// supervisor catches it synchronously: the shard's rings and
-    /// counters are salvaged, a replacement shard is serving by the time
+    /// counters are salvaged, the restarted shard is serving by the time
     /// this returns, and the crash is fully accounted. Always returns
     /// [`WorkerError::ShardPanicked`] describing the crash it caused
     /// (or [`WorkerError::NotRunning`] outside multi-queue mode).
@@ -541,12 +541,32 @@ impl Host {
         let Some(pool) = self.workers.as_mut() else {
             return Err(WorkerError::NotRunning);
         };
-        pool.inject_panic(shard, msg);
+        pool.inject_panic(shard, msg, None);
         self.absorb_worker_crashes(now);
         Err(WorkerError::ShardPanicked {
             shard,
             payload: msg.to_string(),
         })
+    }
+
+    /// The mid-batch arm of [`Host::inject_worker_panic`]: shard `shard`
+    /// panics with `msg` once it has delivered `after_frames` more
+    /// frames, in the middle of a pump batch, on whichever thread runs
+    /// that batch. The frames of that batch it never answered are
+    /// rerouted through the slow path (`HostStats::worker_rerouted`) and
+    /// the crash is accounted when the pump returns. Returns
+    /// [`WorkerError::NotRunning`] outside multi-queue mode.
+    pub fn arm_worker_panic(
+        &mut self,
+        shard: usize,
+        after_frames: usize,
+        msg: &str,
+    ) -> Result<(), WorkerError> {
+        let Some(pool) = self.workers.as_mut() else {
+            return Err(WorkerError::NotRunning);
+        };
+        pool.inject_panic(shard, msg, Some(after_frames));
+        Ok(())
     }
 
     /// Total worker-shard restarts performed by the supervisor.
@@ -1460,7 +1480,7 @@ impl Host {
     }
 
     /// The multi-queue half of ingress: fast-path frames fan out to the
-    /// worker owning their RSS queue (all shards run concurrently), while
+    /// shard owning their RSS queue (shards run concurrently), while
     /// listener, slow-path, ARP, and drop verdicts stay on this thread.
     /// Replies reassemble in arrival order and wakeups are applied in
     /// arrival order, so the result is deterministic and — for one
@@ -1474,10 +1494,9 @@ impl Host {
         let n = self.num_workers();
         let trace = self.tel.is_enabled();
         let generation = self.tel.generation();
-        let mut batches: Vec<Vec<DeliverJob>> = vec![Vec::new(); n];
         let mut reports: Vec<DeliveryReport> = Vec::with_capacity(packets.len());
-        // conn + pending wake for each worker-dispatched index.
-        let mut pending: HashMap<usize, (ConnId, Option<Pid>, Time)> = HashMap::new();
+        // conn + pending wake for each shard-dispatched frame, by index.
+        let mut pending: Vec<Option<(ConnId, Option<Pid>, Time)>> = vec![None; packets.len()];
         for (idx, (packet, rx)) in packets.iter().zip(rxs).enumerate() {
             let fast_conn = match rx.disposition {
                 RxDisposition::Deliver { conn, .. }
@@ -1497,7 +1516,7 @@ impl Host {
             };
             let c = &self.conns[&conn];
             let shard = usize::from(rx.meta.map_or(0, |m| m.queue)) % n;
-            batches[shard].push(DeliverJob {
+            let job = DeliverJob {
                 idx,
                 key: c.ring_key,
                 len: packet.len(),
@@ -1509,9 +1528,13 @@ impl Host {
                 cold: rx.cold,
                 trace,
                 generation,
-            });
+            };
             let wake = if rx.interrupt { Some(c.pid) } else { None };
-            pending.insert(idx, (conn, wake, rx.ready_at));
+            pending[idx] = Some((conn, wake, rx.ready_at));
+            self.workers
+                .as_mut()
+                .expect("worker mode active")
+                .stage(shard, job);
             reports.push(DeliveryReport {
                 outcome: DeliveryOutcome::Dropped, // overwritten by the reply
                 mem_cost: Dur::ZERO,
@@ -1520,15 +1543,16 @@ impl Host {
                 woke: None,
             });
         }
+        let mut outcomes = vec![None; packets.len()];
         let pool = self.workers.as_mut().expect("worker mode active");
-        let mut replies = pool.deliver(batches);
-        // Worker order is arbitrary across shards; arrival order is the
-        // contract.
-        replies.sort_unstable_by_key(|r| r.idx);
-        for reply in replies {
-            let (conn, wake, ready_at) = pending[&reply.idx];
-            let report = &mut reports[reply.idx];
-            match reply.outcome {
+        pool.deliver(&mut outcomes);
+        // Arrival order is the contract.
+        for (idx, slot) in pending.into_iter().enumerate() {
+            let Some((conn, wake, ready_at)) = slot else {
+                continue;
+            };
+            let report = &mut reports[idx];
+            match outcomes[idx].expect("every dispatched frame is answered") {
                 ShardOutcome::Fast(cost) => {
                     report.outcome = DeliveryOutcome::FastPath(conn);
                     report.mem_cost = cost;
@@ -1550,7 +1574,7 @@ impl Host {
                     // The owning shard died before answering: reroute the
                     // frame through the software slow path so it is
                     // delivered and accounted rather than silently lost.
-                    let (_, cost) = self.stack_rx(&packets[reply.idx], None, now);
+                    let (_, cost) = self.stack_rx(&packets[idx], None, now);
                     self.kernel_cpu += cost;
                     report.kernel_cpu = cost;
                     report.outcome = DeliveryOutcome::SlowPath;
@@ -1828,9 +1852,9 @@ impl Host {
     }
 
     /// [`Host::app_recv`] with the ring in a worker shard: the dequeue
-    /// (and its LLC traffic) happens on the owning worker; doorbells,
-    /// scheduling, and trace emission stay here. Costs and events match
-    /// the single-queue path exactly.
+    /// (and its LLC traffic) runs on the owning shard, under its lock, on
+    /// this thread; doorbells, scheduling, and trace emission stay on the
+    /// host. Costs and events match the single-queue path exactly.
     fn app_recv_workers(
         &mut self,
         pid: Pid,
@@ -2024,9 +2048,10 @@ impl Host {
     }
 
     /// [`Host::app_send`] with the ring in a worker shard: the payload
-    /// store and NIC DMA-read (and their LLC traffic) happen on the
-    /// owning worker; doorbells, TX scheduling, and retry buffering stay
-    /// here. Costs match the single-queue path exactly.
+    /// store and NIC DMA-read (and their LLC traffic) run on the owning
+    /// shard, under its lock, on this thread; doorbells, TX scheduling,
+    /// and retry buffering stay on the host. Costs match the
+    /// single-queue path exactly.
     fn app_send_workers(
         &mut self,
         id: ConnId,
@@ -2048,12 +2073,11 @@ impl Host {
                 cpu: Dur::ZERO,
             };
         };
-        let reply = self.workers.as_mut().expect("worker mode active").send(
-            shard,
-            key,
-            packet.clone(),
-            packet.len(),
-        );
+        let reply = self
+            .workers
+            .as_mut()
+            .expect("worker mode active")
+            .send(shard, key, packet);
         let produce = match reply {
             SendReply::Produced(cost) => cost,
             SendReply::Full => {

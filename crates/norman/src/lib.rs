@@ -21,9 +21,10 @@
 //! * [`policy`] — the administrator-facing policy types (port
 //!   reservations, shaping policies) and how they lower onto the NIC.
 //! * [`workers`] — the multi-queue sharding layer: [`Host::run_workers`]
-//!   pins one worker thread per RSS queue, each owning its connections'
-//!   ring pairs and telemetry shard, merged at a quiesce barrier so
-//!   policy commits stay atomic across shards.
+//!   starts one worker thread and one lock-owned shard per RSS queue,
+//!   each shard holding its connections' ring pairs and telemetry,
+//!   merged at a quiesce barrier so policy commits stay atomic across
+//!   shards.
 //! * [`tools`] — `ksniff` (tcpdump), `kfilter` (iptables), `kqdisc`
 //!   (tc), `knetstat` (netstat), and [`tools::trace`] (`ktrace`, the
 //!   per-packet lifecycle introspector the paper argues interposition

@@ -1,15 +1,25 @@
 //! Per-queue dataplane workers: the multi-queue sharding layer.
 //!
-//! [`Host::run_workers`](crate::Host::run_workers) pins one worker thread
-//! per NIC RSS queue. Each worker owns a *shard*: the ring pairs of every
-//! connection whose flow hash steers to its queue, a private LLC slice,
-//! local delivery counters, and a buffer of trace events stamped with the
-//! policy generation in force when the frame was handled. Nothing a
-//! worker owns is shared — the host talks to workers over channels, so
-//! the dataplane hot path never takes a lock.
+//! [`Host::run_workers`](crate::Host::run_workers) starts one worker
+//! thread per NIC RSS queue. Each queue has a *shard*: the ring pairs of
+//! every connection whose flow hash steers to its queue, a private LLC
+//! slice, local delivery counters, and a buffer of trace events stamped
+//! with the policy generation in force when the frame was handled. A
+//! shard lives behind its own lock (`Arc<Mutex<Shard>>`), not inside its
+//! thread, so any thread can run shard code and no shard shares state
+//! with another.
+//!
+//! The calling thread runs every per-call op — app receive and send,
+//! ring install and close, drain, quiesce, trace clear — directly on the
+//! locked shard, with no thread hop. A pump batch is the one thing
+//! handed off: each shard's jobs go into its *inbox* and its thread is
+//! woken. The caller then visits the shards in index order, runs every
+//! inbox no thread has taken yet, and collects each shard's *outbox*
+//! under the lock. It only ever waits on a thread that is already
+//! running a batch.
 //!
 //! Shard-local state is reconciled at a **quiesce barrier**
-//! ([`Host::quiesce`](crate::Host::quiesce)): every worker drains its
+//! ([`Host::quiesce`](crate::Host::quiesce)): every shard drains its
 //! counters, busy time, and buffered events back to the host, which
 //! merges them into the global [`HostStats`](crate::host::HostStats),
 //! the per-core CPU meters, and the telemetry hub (via
@@ -19,16 +29,19 @@
 //! shards: no shard can keep emitting under the old generation after the
 //! commit returns.
 //!
-//! Determinism: workers run on real threads, but every exchange is a
-//! bounded request/reply over per-worker channels and the host collects
-//! replies in worker order, then reassembles per-frame results in
-//! arrival order. A multi-worker run is therefore a pure function of its
-//! inputs — replaying the same frame schedule twice produces identical
-//! reports, and `run_workers(1)` is byte-identical to the single-queue
+//! Determinism: the caller touches a shard only when it has no batch in
+//! flight, and every outbox is collected before the pump returns, so each
+//! shard's rings and LLC model see the same operation sequence whichever
+//! thread ran its batch. Replies are reassembled in arrival order. A
+//! multi-worker run is therefore a pure function of its inputs —
+//! replaying the same frame schedule twice produces identical reports,
+//! and `run_workers(1)` is byte-identical to the single-queue
 //! [`Host::pump`](crate::Host::pump) path.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use memsim::{Llc, LlcConfig, LlcPartitionPlan, LlcStats, MemCosts};
@@ -57,10 +70,10 @@ pub enum WorkerError {
     /// Shared (per-process) rings cannot be sharded by flow: two
     /// connections of one process may steer to different queues.
     SharedRings,
-    /// A worker thread panicked. The supervisor caught it: the shard's
-    /// rings, counters, and events were salvaged, the thread exited
-    /// cleanly (joinable), and a replacement shard was started — the
-    /// remaining shards never stop serving.
+    /// Shard code panicked. The supervisor caught it at the shard
+    /// boundary: the shard's rings, counters, and events were salvaged
+    /// and the shard was restarted in place — the remaining shards never
+    /// stop serving.
     ShardPanicked {
         /// Which shard crashed.
         shard: usize,
@@ -100,8 +113,8 @@ pub struct ShardStats {
     pub ring_missing: u64,
 }
 
-/// What one worker hands back at a quiesce barrier. Counters and events
-/// are *deltas* since the previous quiesce; the worker resets them after
+/// What one shard hands back at a quiesce barrier. Counters and events
+/// are *deltas* since the previous quiesce; the shard resets them after
 /// reporting.
 #[derive(Debug)]
 pub struct ShardReport {
@@ -124,17 +137,16 @@ pub struct ShardReport {
     pub arena_resident: u64,
 }
 
-/// One frame the host asks a worker to DMA into its shard.
-#[derive(Clone, Debug)]
+/// One frame the host asks a shard to DMA into its rings.
+#[derive(Debug)]
 pub(crate) struct DeliverJob {
     /// Position in the pump batch, for reassembly in arrival order.
     pub idx: usize,
     /// The ring pair the frame targets.
     pub key: RingKey,
-    /// The frame itself, riding the ring as its descriptor. Cloning a
-    /// [`Packet`] is a refcount bump (never a byte copy), so handing the
-    /// job across the channel — and keeping the host-side crash-recovery
-    /// copy — shares the one buffer.
+    /// The frame itself, riding the ring as its descriptor. The host
+    /// keeps its own handle to the same buffer, so a frame the shard
+    /// never answers can still be rerouted after a crash.
     pub pkt: Packet,
     /// Frame length on the wire.
     pub len: usize,
@@ -157,11 +169,11 @@ pub(crate) struct DeliverJob {
     pub generation: u64,
 }
 
-/// Worker-side outcome of one [`DeliverJob`].
+/// Shard-side outcome of one [`DeliverJob`].
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct DeliverReply {
-    pub idx: usize,
-    pub outcome: ShardOutcome,
+struct DeliverReply {
+    idx: usize,
+    outcome: ShardOutcome,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -178,7 +190,7 @@ pub(crate) enum ShardOutcome {
     Crashed,
 }
 
-/// Worker-side outcome of one receive.
+/// Shard-side outcome of one receive.
 #[derive(Clone, Debug)]
 pub(crate) enum RecvReply {
     /// Dequeued the frame at this cost; `fid` is the frame id that
@@ -195,7 +207,7 @@ pub(crate) enum RecvReply {
     Missing,
 }
 
-/// Worker-side outcome of one send (payload write + NIC DMA read).
+/// Shard-side outcome of one send (payload write + NIC DMA read).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum SendReply {
     /// Payload written into the TX ring at this CPU cost.
@@ -214,59 +226,14 @@ pub(crate) struct RingEntry {
     pub fids: VecDeque<u64>,
 }
 
-enum Op {
-    Deliver(Vec<DeliverJob>),
-    Recv {
-        key: RingKey,
-        trace: bool,
-    },
-    Send {
-        key: RingKey,
-        pkt: Packet,
-        len: usize,
-    },
-    InstallRing(Box<RingEntry>),
-    CloseRing {
-        key: RingKey,
-    },
-    DrainRings,
-    Quiesce,
-    ClearTrace,
-    /// Fault injection: panic inside the worker thread with this message.
-    Panic(String),
-    Stop,
+thread_local! {
+    /// Whether this thread is running shard code inside
+    /// [`Shard::guarded`], so a panic raised now is caught at the shard
+    /// boundary and reported by the supervisor. The panic hook keys on it.
+    static IN_SHARD: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Everything the shard loop rescues from a panicking worker before the
-/// thread exits: ring pairs live in host memory and survive the thread,
-/// counters and events are a normal quiesce-style report, and any
-/// deliver replies completed before the panic come back so the host can
-/// reassemble the batch.
-pub(crate) struct CrashSalvage {
-    /// Deliver replies the shard finished before the panic hit.
-    pub partial: Vec<DeliverReply>,
-    /// Ring pairs (with tracked frame ids) pulled out of the dead shard.
-    pub rings: Vec<RingEntry>,
-    /// Final counter/event report. The rings are drained *before* this
-    /// is built, so `report.queued_fids == 0` — ring occupancy rides the
-    /// reinstalled entries and is reported by the replacement shard,
-    /// never counted twice.
-    pub report: ShardReport,
-    /// The panic payload, stringified.
-    pub payload: String,
-}
-
-enum Reply {
-    Delivered(Vec<DeliverReply>),
-    Recv(RecvReply),
-    Send(SendReply),
-    Rings(Vec<RingEntry>),
-    Quiesce(Box<ShardReport>),
-    Crashed(Box<CrashSalvage>),
-    Done,
-}
-
-/// The state one worker thread owns outright.
+/// The state of one shard, owned by its lock.
 struct Shard {
     rings: HashMap<RingKey, (PktRing, PktRing)>,
     ring_frame_ids: FastMap<RingKey, VecDeque<u64>>,
@@ -275,9 +242,18 @@ struct Shard {
     stats: ShardStats,
     events: Vec<TraceEvent>,
     busy: Dur,
-    /// Deliver replies for the batch currently being processed. Kept on
-    /// the shard (not the stack) so a panic mid-batch can salvage them.
-    partial: Vec<DeliverReply>,
+    /// The pump batch waiting to run. Jobs leave it one at a time, so
+    /// after a crash it holds exactly the frames never started.
+    inbox: VecDeque<DeliverJob>,
+    /// Replies for the batch, collected by the caller under the lock.
+    outbox: Vec<DeliverReply>,
+    /// The frame being delivered right now, unanswered if a panic hits.
+    current: Option<usize>,
+    /// Fault injection: panic with this message once this many more
+    /// frames have been delivered.
+    armed: Option<(usize, String)>,
+    /// Set when shard code panicked: the payload, awaiting salvage.
+    crashed: Option<String>,
 }
 
 impl Shard {
@@ -290,7 +266,54 @@ impl Shard {
             stats: ShardStats::default(),
             events: Vec::new(),
             busy: Dur::ZERO,
-            partial: Vec::new(),
+            inbox: VecDeque::new(),
+            outbox: Vec::new(),
+            current: None,
+            armed: None,
+            crashed: None,
+        }
+    }
+
+    /// Runs `op` at the shard boundary: a panic inside it is caught here,
+    /// on whichever thread ran it, and its payload parked in `crashed`
+    /// for the supervisor. Returns `None` when `op` panicked.
+    fn guarded<R>(&mut self, op: impl FnOnce(&mut Shard) -> R) -> Option<R> {
+        IN_SHARD.set(true);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(self)));
+        IN_SHARD.set(false);
+        match caught {
+            Ok(r) => Some(r),
+            Err(e) => {
+                self.crashed = Some(panic_message(e.as_ref()));
+                None
+            }
+        }
+    }
+
+    /// Runs the pending pump batch, if there is one and the shard is not
+    /// awaiting salvage. Whichever thread locks the shard first does it.
+    fn take_batch(&mut self) {
+        if self.crashed.is_none() && !self.inbox.is_empty() {
+            self.guarded(Shard::run_inbox);
+        }
+    }
+
+    fn run_inbox(&mut self) {
+        while !self.inbox.is_empty() {
+            match &mut self.armed {
+                Some((0, msg)) => {
+                    let msg = std::mem::take(msg);
+                    self.armed = None;
+                    panic!("{msg}");
+                }
+                Some((after, _)) => *after -= 1,
+                None => {}
+            }
+            let job = self.inbox.pop_front().expect("inbox is not empty");
+            self.current = Some(job.idx);
+            let reply = self.deliver(job);
+            self.outbox.push(reply);
+            self.current = None;
         }
     }
 
@@ -396,6 +419,23 @@ impl Shard {
         }
     }
 
+    fn install(&mut self, e: RingEntry) {
+        if !e.fids.is_empty() {
+            self.ring_frame_ids.insert(e.key, e.fids);
+        }
+        self.rings.insert(e.key, (e.rx, e.tx));
+    }
+
+    fn close(&mut self, key: RingKey) {
+        self.rings.remove(&key);
+        self.ring_frame_ids.remove(&key);
+    }
+
+    fn clear_trace(&mut self) {
+        self.events.clear();
+        self.ring_frame_ids.clear();
+    }
+
     fn drain_rings(&mut self) -> Vec<RingEntry> {
         let mut keys: Vec<RingKey> = self.rings.keys().copied().collect();
         keys.sort_unstable_by_key(|k| k.order());
@@ -432,74 +472,6 @@ impl Shard {
                 .sum(),
         }
     }
-
-    fn handle(&mut self, op: Op) -> Reply {
-        match op {
-            Op::Deliver(jobs) => {
-                for j in jobs {
-                    let r = self.deliver(j);
-                    self.partial.push(r);
-                }
-                Reply::Delivered(std::mem::take(&mut self.partial))
-            }
-            Op::Recv { key, trace } => Reply::Recv(self.recv(key, trace)),
-            Op::Send { key, pkt, len } => Reply::Send(self.send(key, pkt, len)),
-            Op::InstallRing(e) => {
-                if !e.fids.is_empty() {
-                    self.ring_frame_ids.insert(e.key, e.fids);
-                }
-                self.rings.insert(e.key, (e.rx, e.tx));
-                Reply::Done
-            }
-            Op::CloseRing { key } => {
-                self.rings.remove(&key);
-                self.ring_frame_ids.remove(&key);
-                Reply::Done
-            }
-            Op::DrainRings => Reply::Rings(self.drain_rings()),
-            Op::Quiesce => Reply::Quiesce(Box::new(self.report())),
-            Op::ClearTrace => {
-                self.events.clear();
-                self.ring_frame_ids.clear();
-                Reply::Done
-            }
-            Op::Panic(msg) => panic!("{msg}"),
-            Op::Stop => unreachable!("Stop is handled by the run loop"),
-        }
-    }
-
-    fn run(mut self, ops: Receiver<Op>, replies: Sender<Reply>) {
-        for op in ops {
-            if matches!(op, Op::Stop) {
-                let _ = replies.send(Reply::Done);
-                return;
-            }
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle(op)));
-            let reply = match caught {
-                Ok(reply) => reply,
-                Err(e) => {
-                    // The op panicked. Salvage everything the host needs
-                    // — rings FIRST so the final report's queued_fids is
-                    // zero (occupancy travels with the ring entries) —
-                    // then exit so the thread stays cleanly joinable.
-                    let payload = panic_message(e.as_ref());
-                    let partial = std::mem::take(&mut self.partial);
-                    let rings = self.drain_rings();
-                    let report = self.report();
-                    let _ = replies.send(Reply::Crashed(Box::new(CrashSalvage {
-                        partial,
-                        rings,
-                        report,
-                        payload,
-                    })));
-                    return;
-                }
-            };
-            if replies.send(reply).is_err() {
-                return; // host side went away
-            }
-        }
-    }
 }
 
 fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
@@ -512,36 +484,42 @@ fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Workers report panics through the supervisor, so the default panic
-/// hook's backtrace spew on stderr is pure noise (and would make chaos
-/// runs unreadable). Suppress it for worker threads only; every other
-/// thread keeps the previous hook.
-fn quiet_worker_panics() {
+/// Shard panics are reported through the supervisor, so the default
+/// panic hook's backtrace spew on stderr is pure noise (and would make
+/// chaos runs unreadable). Suppress it while shard code runs, on any
+/// thread; everything else keeps the previous hook.
+fn quiet_shard_panics() {
     static HOOK: std::sync::Once = std::sync::Once::new();
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let in_worker = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("norman-worker-"));
-            if !in_worker {
+            if !IN_SHARD.get() {
                 prev(info);
             }
         }));
     });
 }
 
-struct Worker {
-    ops: Sender<Op>,
-    replies: Receiver<Reply>,
-    handle: Option<JoinHandle<()>>,
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    // Shard code panics are caught inside the lock, so it never poisons.
+    shard.lock().expect("shard lock poisoned")
 }
 
-impl Worker {
-    fn call(&self, op: Op) -> Reply {
-        self.ops.send(op).expect("worker thread alive");
-        self.replies.recv().expect("worker thread alive")
+/// A worker thread: sleeps until a pump wakes it, then runs its shard's
+/// batch unless the caller has already taken it.
+fn worker_loop(shard: &Mutex<Shard>, stop: &AtomicBool) {
+    loop {
+        std::thread::park();
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        lock(shard).take_batch();
     }
+}
+
+struct Worker {
+    shard: Arc<Mutex<Shard>>,
+    thread: JoinHandle<()>,
 }
 
 /// One supervised shard restart, recorded for the host to account.
@@ -558,15 +536,8 @@ pub(crate) struct ShardCrash {
     pub penalty: Dur,
 }
 
-/// The host-side handle to the worker fleet: one channel pair per
-/// worker, plus the key→shard ownership map. Also the shard
-/// *supervisor*: a `Reply::Crashed` from any worker triggers join →
-/// salvage → restart at the same index, and the crash is recorded for
-/// the host to account (restart counters, backoff CPU penalty,
-/// recovery telemetry).
-pub(crate) struct WorkerPool {
-    workers: Vec<Worker>,
-    shard_of: HashMap<RingKey, usize>,
+/// Restarts crashed shards and keeps what they leave behind.
+struct Supervisor {
     /// The way-disjoint carve-up of the host LLC: shard `i` owns
     /// partition `i` outright, with a per-partition DDIO mask floored
     /// at one way, so one shard's ring working set cannot evict
@@ -582,107 +553,120 @@ pub(crate) struct WorkerPool {
     crashes: Vec<ShardCrash>,
 }
 
+impl Supervisor {
+    /// Restarts crashed shard `i` in place: its ring pairs (host memory,
+    /// so they survive the crash) are drained *before* the final report,
+    /// so the banked report's `queued_fids` is zero and occupancy travels
+    /// with the rings. The shard starts over with a fresh LLC partition,
+    /// the rings are reinstalled, the report is banked for the next
+    /// quiesce, and the crash is recorded with its backoff penalty.
+    fn salvage(&mut self, i: usize, s: &mut Shard) {
+        let payload = s.crashed.take().expect("salvage follows a crash");
+        let rings = s.drain_rings();
+        let report = s.report();
+        *s = Shard::new(self.plan.shard(i).clone(), self.mem.clone());
+        for e in rings {
+            s.install(e);
+        }
+        self.restarts[i] += 1;
+        let n = self.restarts[i];
+        self.pending_reports.push((i, report));
+        self.crashes.push(ShardCrash {
+            shard: i,
+            payload,
+            restarts: n,
+            penalty: Dur::from_us(50 << (n - 1).min(6)),
+        });
+    }
+}
+
+/// The host-side handle to the shards: one lock-owned shard and one
+/// thread per queue, the key→shard ownership map, and the shard
+/// supervisor, which catches a panic in shard code on any thread,
+/// salvages and restarts the shard, and records the crash for the host
+/// to account (restart counters, backoff CPU penalty, recovery
+/// telemetry).
+pub(crate) struct WorkerPool {
+    workers: Vec<Worker>,
+    stop: Arc<AtomicBool>,
+    /// Jobs for the next [`WorkerPool::deliver`], one list per shard.
+    staged: Vec<Vec<DeliverJob>>,
+    shard_of: HashMap<RingKey, usize>,
+    sup: Supervisor,
+}
+
 impl WorkerPool {
     pub(crate) fn new(n: usize, plan: LlcPartitionPlan, mem: MemCosts) -> WorkerPool {
         assert!(n > 0, "need at least one worker");
         assert_eq!(plan.len(), n, "one LLC partition per shard");
-        quiet_worker_panics();
+        quiet_shard_panics();
+        let stop = Arc::new(AtomicBool::new(false));
         let workers = (0..n)
-            .map(|i| Self::spawn_worker(i, plan.shard(i), &mem))
+            .map(|i| {
+                let shard = Arc::new(Mutex::new(Shard::new(plan.shard(i).clone(), mem.clone())));
+                let (s, st) = (Arc::clone(&shard), Arc::clone(&stop));
+                let thread = std::thread::Builder::new()
+                    .name(format!("norman-worker-{i}"))
+                    .spawn(move || worker_loop(&s, &st))
+                    .expect("spawn worker thread");
+                Worker { shard, thread }
+            })
             .collect();
         WorkerPool {
             workers,
+            stop,
+            staged: (0..n).map(|_| Vec::new()).collect(),
             shard_of: HashMap::new(),
-            plan,
-            mem,
-            restarts: vec![0; n],
-            pending_reports: Vec::new(),
-            crashes: Vec::new(),
+            sup: Supervisor {
+                plan,
+                mem,
+                restarts: vec![0; n],
+                pending_reports: Vec::new(),
+                crashes: Vec::new(),
+            },
         }
     }
 
-    fn spawn_worker(i: usize, llc: &LlcConfig, mem: &MemCosts) -> Worker {
-        let (op_tx, op_rx) = channel::<Op>();
-        let (reply_tx, reply_rx) = channel::<Reply>();
-        let shard = Shard::new(llc.clone(), mem.clone());
-        let handle = std::thread::Builder::new()
-            .name(format!("norman-worker-{i}"))
-            .spawn(move || shard.run(op_rx, reply_tx))
-            .expect("spawn worker thread");
-        Worker {
-            ops: op_tx,
-            replies: reply_rx,
-            handle: Some(handle),
+    /// Runs `op` on shard `i` from the calling thread, under the shard's
+    /// lock and panic boundary. A crash is salvaged and `op` retried once
+    /// on the restarted shard, which inherited the rings.
+    fn exec<R>(&mut self, i: usize, mut op: impl FnMut(&mut Shard) -> R) -> R {
+        let mut s = lock(&self.workers[i].shard);
+        if let Some(r) = s.guarded(&mut op) {
+            return r;
         }
+        self.sup.salvage(i, &mut s);
+        s.guarded(op)
+            .unwrap_or_else(|| panic!("worker shard {i} crashed twice in one op"))
     }
 
-    /// Receives one reply from worker `i`, supervising crashes. On
-    /// [`Reply::Crashed`] the dead thread is joined, a replacement shard
-    /// is spawned at the same index with a bounded doubling backoff
-    /// penalty, the salvaged rings are reinstalled into it (ring memory
-    /// is host memory — it survives the worker), the salvaged report is
-    /// banked for the next quiesce, and the crash is recorded. Returns
-    /// the panic payload and any partial deliver replies.
-    fn recv_supervised(&mut self, i: usize) -> Result<Reply, (String, Vec<DeliverReply>)> {
-        let reply = self.workers[i]
-            .replies
-            .recv()
-            .expect("worker reply channel");
-        let Reply::Crashed(salvage) = reply else {
-            return Ok(reply);
-        };
-        let CrashSalvage {
-            partial,
-            rings,
-            report,
-            payload,
-        } = *salvage;
-        if let Some(h) = self.workers[i].handle.take() {
-            let _ = h.join(); // the shard sent its salvage, then exited
-        }
-        self.restarts[i] += 1;
-        let n = self.restarts[i];
-        let penalty = Dur::from_us(50 << (n - 1).min(6));
-        self.workers[i] = Self::spawn_worker(i, self.plan.shard(i), &self.mem);
-        for e in rings {
-            match self.workers[i].call(Op::InstallRing(Box::new(e))) {
-                Reply::Done => {}
-                _ => unreachable!("reinstall reply"),
+    /// Fault injection: with `after_frames` unset, panic shard `shard`
+    /// with `msg` now — the supervisor handles the crash before this
+    /// returns. With `Some(k)`, arm the shard to panic once it has
+    /// delivered `k` more frames, in the middle of a pump batch; frames
+    /// of that batch it never answers come back
+    /// [`ShardOutcome::Crashed`]. Either way the crash record is
+    /// available via [`WorkerPool::take_crashes`] once it fired.
+    pub(crate) fn inject_panic(&mut self, shard: usize, msg: &str, after_frames: Option<usize>) {
+        let mut s = lock(&self.workers[shard].shard);
+        match after_frames {
+            Some(k) => s.armed = Some((k, msg.to_string())),
+            None => {
+                if s.guarded(|_| panic!("{msg}")).is_none() {
+                    self.sup.salvage(shard, &mut s);
+                }
             }
-        }
-        self.pending_reports.push((i, report));
-        self.crashes.push(ShardCrash {
-            shard: i,
-            payload: payload.clone(),
-            restarts: n,
-            penalty,
-        });
-        Err((payload, partial))
-    }
-
-    /// Fault injection: make shard `shard` panic with `msg`. The
-    /// supervisor handles the crash synchronously; by the time this
-    /// returns the replacement shard is serving and the crash record is
-    /// available via [`WorkerPool::take_crashes`].
-    pub(crate) fn inject_panic(&mut self, shard: usize, msg: &str) {
-        self.workers[shard]
-            .ops
-            .send(Op::Panic(msg.to_string()))
-            .expect("worker thread alive");
-        match self.recv_supervised(shard) {
-            Err(_) => {}
-            Ok(_) => unreachable!("panic op always crashes the shard"),
         }
     }
 
     /// Crash records accumulated since the last call.
     pub(crate) fn take_crashes(&mut self) -> Vec<ShardCrash> {
-        std::mem::take(&mut self.crashes)
+        std::mem::take(&mut self.sup.crashes)
     }
 
     /// Total shard restarts over the pool's lifetime.
     pub(crate) fn total_restarts(&self) -> u64 {
-        self.restarts.iter().sum()
+        self.sup.restarts.iter().sum()
     }
 
     pub(crate) fn num_workers(&self) -> usize {
@@ -692,7 +676,7 @@ impl WorkerPool {
     /// The LLC partition plan shards were built from (audited by
     /// [`Host::audit`](crate::Host::audit) for way conservation).
     pub(crate) fn plan(&self) -> &LlcPartitionPlan {
-        &self.plan
+        &self.sup.plan
     }
 
     /// Which shard owns `key`, if any.
@@ -710,179 +694,86 @@ impl WorkerPool {
         fids: VecDeque<u64>,
     ) {
         self.shard_of.insert(key, shard);
-        self.workers[shard]
-            .ops
-            .send(Op::InstallRing(Box::new(RingEntry { key, rx, tx, fids })))
-            .expect("worker thread alive");
-        match self.recv_supervised(shard) {
-            Ok(Reply::Done) | Err(_) => {}
-            Ok(_) => unreachable!("install reply"),
-        }
+        let mut entry = Some(RingEntry { key, rx, tx, fids });
+        self.exec(shard, |s| {
+            if let Some(e) = entry.take() {
+                s.install(e);
+            }
+        });
     }
 
     /// Tears down `key`'s rings wherever they live.
     pub(crate) fn close(&mut self, key: RingKey) {
         if let Some(shard) = self.shard_of.remove(&key) {
-            self.workers[shard]
-                .ops
-                .send(Op::CloseRing { key })
-                .expect("worker thread alive");
-            match self.recv_supervised(shard) {
-                Ok(Reply::Done) => {}
-                Ok(_) => unreachable!("close reply"),
-                Err(_) => {
-                    // The salvage reinstalled the shard's rings — the one
-                    // being closed included. Re-issue against the
-                    // replacement shard.
-                    self.workers[shard]
-                        .ops
-                        .send(Op::CloseRing { key })
-                        .expect("worker thread alive");
-                    match self.recv_supervised(shard) {
-                        Ok(Reply::Done) => {}
-                        _ => panic!("worker shard {shard} crashed twice during close"),
-                    }
-                }
-            }
+            self.exec(shard, |s| s.close(key));
         }
     }
 
-    /// Dispatches one per-shard job batch to every worker at once, lets
-    /// them run concurrently, and returns the union of replies. Replies
-    /// are collected in worker order, so the result is deterministic
-    /// regardless of thread scheduling.
-    pub(crate) fn deliver(&mut self, batches: Vec<Vec<DeliverJob>>) -> Vec<DeliverReply> {
-        assert_eq!(batches.len(), self.workers.len());
-        let mut busy = Vec::new();
-        for (i, jobs) in batches.into_iter().enumerate() {
-            if jobs.is_empty() {
-                continue;
+    /// Queues `job` for `shard`'s part of the next [`WorkerPool::deliver`].
+    pub(crate) fn stage(&mut self, shard: usize, job: DeliverJob) {
+        self.staged[shard].push(job);
+    }
+
+    /// Runs the staged batch on every shard and writes each frame's
+    /// outcome at its arrival index. Each batch goes into its shard's
+    /// inbox and the shard's thread is woken; the caller then runs, in
+    /// shard order, every inbox no thread has taken yet, and last
+    /// collects every outbox in shard order — salvaging crashed shards
+    /// in that order too — so the result is deterministic regardless of
+    /// thread scheduling.
+    pub(crate) fn deliver(&mut self, outcomes: &mut [Option<ShardOutcome>]) {
+        for (w, jobs) in self.workers.iter().zip(&mut self.staged) {
+            if !jobs.is_empty() {
+                lock(&w.shard).inbox.extend(jobs.drain(..));
+                w.thread.thread().unpark();
             }
-            // Keep a copy so a crashed shard's unanswered jobs can be
-            // identified and rerouted (cloning a job bumps its packet's
-            // refcount; the frame bytes stay in host memory either way).
-            let copy = jobs.clone();
-            self.workers[i]
-                .ops
-                .send(Op::Deliver(jobs))
-                .expect("worker thread alive");
-            busy.push((i, copy));
         }
-        let mut replies = Vec::new();
-        for (i, jobs) in busy {
-            match self.recv_supervised(i) {
-                Ok(Reply::Delivered(mut r)) => replies.append(&mut r),
-                Ok(_) => unreachable!("deliver reply"),
-                Err((_, mut partial)) => {
-                    // Jobs the dead shard never answered come back as
-                    // Crashed; the host reroutes those frames through
-                    // the slow path, so nothing silently disappears.
-                    let answered: HashSet<usize> = partial.iter().map(|r| r.idx).collect();
-                    for j in &jobs {
-                        if !answered.contains(&j.idx) {
-                            partial.push(DeliverReply {
-                                idx: j.idx,
-                                outcome: ShardOutcome::Crashed,
-                            });
-                        }
-                    }
-                    replies.append(&mut partial);
+        for w in &self.workers {
+            if let Ok(mut s) = w.shard.try_lock() {
+                s.take_batch();
+            }
+        }
+        for (i, w) in self.workers.iter().enumerate() {
+            let mut s = lock(&w.shard);
+            for r in s.outbox.drain(..) {
+                outcomes[r.idx] = Some(r.outcome);
+            }
+            if s.crashed.is_some() {
+                // Frames the shard never answered come back Crashed; the
+                // host reroutes them through the slow path, so nothing
+                // silently disappears.
+                let current = s.current.take();
+                for idx in current.into_iter().chain(s.inbox.drain(..).map(|j| j.idx)) {
+                    outcomes[idx] = Some(ShardOutcome::Crashed);
                 }
+                self.sup.salvage(i, &mut s);
             }
         }
-        replies
     }
 
     pub(crate) fn recv(&mut self, shard: usize, key: RingKey, trace: bool) -> RecvReply {
-        self.workers[shard]
-            .ops
-            .send(Op::Recv { key, trace })
-            .expect("worker thread alive");
-        match self.recv_supervised(shard) {
-            Ok(Reply::Recv(r)) => r,
-            Ok(_) => unreachable!("recv reply"),
-            Err(_) => {
-                // Re-issue once against the replacement shard: the rings
-                // (and their contents) survived the crash.
-                self.workers[shard]
-                    .ops
-                    .send(Op::Recv { key, trace })
-                    .expect("worker thread alive");
-                match self.recv_supervised(shard) {
-                    Ok(Reply::Recv(r)) => r,
-                    _ => panic!("worker shard {shard} crashed twice during recv"),
-                }
-            }
-        }
+        self.exec(shard, |s| s.recv(key, trace))
     }
 
-    pub(crate) fn send(
-        &mut self,
-        shard: usize,
-        key: RingKey,
-        pkt: Packet,
-        len: usize,
-    ) -> SendReply {
-        self.workers[shard]
-            .ops
-            .send(Op::Send {
-                key,
-                pkt: pkt.clone(),
-                len,
-            })
-            .expect("worker thread alive");
-        match self.recv_supervised(shard) {
-            Ok(Reply::Send(r)) => r,
-            Ok(_) => unreachable!("send reply"),
-            Err(_) => {
-                self.workers[shard]
-                    .ops
-                    .send(Op::Send { key, pkt, len })
-                    .expect("worker thread alive");
-                match self.recv_supervised(shard) {
-                    Ok(Reply::Send(r)) => r,
-                    _ => panic!("worker shard {shard} crashed twice during send"),
-                }
-            }
-        }
+    pub(crate) fn send(&mut self, shard: usize, key: RingKey, pkt: &Packet) -> SendReply {
+        self.exec(shard, |s| s.send(key, pkt.clone(), pkt.len()))
     }
 
-    /// The quiesce barrier: every worker drains its counters, busy time,
-    /// and buffered events. Reports come back in worker (core) order,
+    /// The quiesce barrier: every shard drains its counters, busy time,
+    /// and buffered events. Reports come back in shard (core) order,
     /// with anything salvaged from crashed shards folded back in so the
     /// merge is conservation-exact across restarts.
     pub(crate) fn quiesce(&mut self) -> Vec<ShardReport> {
-        for w in &self.workers {
-            w.ops.send(Op::Quiesce).expect("worker thread alive");
-        }
-        let mut reports = Vec::with_capacity(self.workers.len());
-        for i in 0..self.workers.len() {
-            let report = match self.recv_supervised(i) {
-                Ok(Reply::Quiesce(r)) => *r,
-                Ok(_) => unreachable!("quiesce reply"),
-                Err(_) => {
-                    // The shard crashed on the quiesce itself; its
-                    // salvage report was banked. Quiesce the replacement
-                    // (which inherited the rings) for the occupancy.
-                    self.workers[i]
-                        .ops
-                        .send(Op::Quiesce)
-                        .expect("worker thread alive");
-                    match self.recv_supervised(i) {
-                        Ok(Reply::Quiesce(r)) => *r,
-                        _ => panic!("worker shard {i} crashed twice during quiesce"),
-                    }
-                }
-            };
-            reports.push(report);
-        }
+        let mut reports: Vec<ShardReport> = (0..self.workers.len())
+            .map(|i| self.exec(i, Shard::report))
+            .collect();
         // Fold in reports salvaged from crashed shards since the last
         // quiesce: their events predate the live report's, so prepend;
         // counters and busy time sum. queued_fids needs no folding — the
         // salvage drained the rings before reporting (so its own count
-        // is zero) and the replacement shard that inherited them reports
+        // is zero) and the restarted shard that inherited them reports
         // the occupancy.
-        for (i, banked) in std::mem::take(&mut self.pending_reports) {
+        for (i, banked) in std::mem::take(&mut self.sup.pending_reports) {
             let live = &mut reports[i];
             live.stats.fast_delivered += banked.stats.fast_delivered;
             live.stats.ring_drops += banked.stats.ring_drops;
@@ -898,40 +789,16 @@ impl WorkerPool {
 
     /// Clears trace buffers in every shard (a `start_trace` restart).
     pub(crate) fn clear_trace(&mut self) {
-        for w in &self.workers {
-            w.ops.send(Op::ClearTrace).expect("worker thread alive");
-        }
         for i in 0..self.workers.len() {
-            match self.recv_supervised(i) {
-                Ok(Reply::Done) | Err(_) => {}
-                Ok(_) => unreachable!("clear-trace reply"),
-            }
+            self.exec(i, Shard::clear_trace);
         }
     }
 
     /// Pulls every ring pair out of every shard (teardown or rebalance).
     pub(crate) fn drain_all(&mut self) -> Vec<RingEntry> {
         let mut entries = Vec::new();
-        for w in &self.workers {
-            w.ops.send(Op::DrainRings).expect("worker thread alive");
-        }
         for i in 0..self.workers.len() {
-            match self.recv_supervised(i) {
-                Ok(Reply::Rings(mut r)) => entries.append(&mut r),
-                Ok(_) => unreachable!("drain reply"),
-                Err(_) => {
-                    // Crash mid-drain: the salvage reinstalled the rings
-                    // into the replacement shard — drain that one.
-                    self.workers[i]
-                        .ops
-                        .send(Op::DrainRings)
-                        .expect("worker thread alive");
-                    match self.recv_supervised(i) {
-                        Ok(Reply::Rings(mut r)) => entries.append(&mut r),
-                        _ => panic!("worker shard {i} crashed twice during drain"),
-                    }
-                }
-            }
+            entries.append(&mut self.exec(i, Shard::drain_rings));
         }
         self.shard_of.clear();
         entries
@@ -946,31 +813,55 @@ impl WorkerPool {
             self.install(shard, e.key, e.rx, e.tx, e.fids);
         }
     }
-
-    /// Stops every worker thread and waits for it to exit.
-    pub(crate) fn stop(&mut self) {
-        for w in &self.workers {
-            let _ = w.ops.send(Op::Stop);
-        }
-        for w in &mut self.workers {
-            let _ = w.replies.recv();
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
-        self.workers.clear();
-    }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Dropping the op senders ends each worker's loop; join so no
-        // thread outlives the pool.
-        for w in &mut self.workers {
-            drop(std::mem::replace(&mut w.ops, channel().0));
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
+        // Wake every thread into the stop flag and join, so no thread
+        // outlives the pool.
+        self.stop.store(true, Ordering::Release);
+        for w in self.workers.drain(..) {
+            w.thread.thread().unpark();
+            let _ = w.thread.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn shard() -> Shard {
+        let llc = LlcConfig {
+            size_bytes: 64 << 10,
+            ways: 4,
+            ddio_ways: 1,
+            line_bytes: 64,
+            hash_sets: false,
+        };
+        Shard::new(llc, MemCosts::default())
+    }
+
+    #[test]
+    fn panic_hook_keys_on_shard_execution_not_thread_name() {
+        quiet_shard_panics();
+        // A worker-named thread outside shard code keeps the normal hook.
+        let named = std::thread::Builder::new()
+            .name("norman-worker-0".into())
+            .spawn(|| IN_SHARD.get())
+            .expect("spawn")
+            .join()
+            .expect("join");
+        assert!(!named, "thread name must not silence a panic");
+        // Shard code run on any thread is silenced, and only while it runs.
+        let mut s = shard();
+        assert!(!IN_SHARD.get());
+        assert_eq!(s.guarded(|_| IN_SHARD.get()), Some(true));
+        assert!(!IN_SHARD.get());
+        // A panic is caught at the boundary, its payload parked for the
+        // supervisor, and the flag cleared on the way out.
+        assert!(s.guarded(|_| panic!("shard fault")).is_none());
+        assert_eq!(s.crashed.as_deref(), Some("shard fault"));
+        assert!(!IN_SHARD.get(), "flag must clear after a caught panic");
     }
 }

@@ -138,6 +138,22 @@ run_bench_smoke() {
 
   echo "==> bench regression guard"
   python3 scripts/check_bench.py
+
+  # normbench is its own Cargo workspace, so nothing above compiles it.
+  # Its tests rerun every workload for modeled-output determinism and
+  # check that a run writes only into --out.
+  echo "==> normbench tests (determinism, out-dir hygiene)"
+  cargo test --release --frozen --manifest-path normbench/Cargo.toml
+
+  # Every workload, untraced and traced: the exit code gates the run's
+  # correctness checks (audit, conservation, no silent loss, outputs).
+  for workload in rx_small_policy rx_bulk_workers mixed_churn_traced; do
+    for trace in 0 1; do
+      echo "==> normbench smoke: $workload --trace $trace"
+      cargo run --release --frozen --quiet --manifest-path normbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace "$trace"
+    done
+  done
 }
 
 case "$job" in

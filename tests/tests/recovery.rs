@@ -214,6 +214,101 @@ fn shard_panic_under_load_keeps_every_frame_accounted() {
     host.stop_workers();
 }
 
+/// A shard armed to panic part-way through a pump batch answers the
+/// frames it delivered before the panic; the rest come back unanswered
+/// and are rerouted through the slow path. Over many repetitions the
+/// armed batch runs sometimes on the calling thread and sometimes on
+/// the shard's own thread, and every repetition must account the same.
+#[test]
+fn mid_batch_shard_panic_reroutes_unanswered_frames() {
+    let run = || -> String {
+        let mut cfg = HostConfig::default();
+        cfg.nic.num_queues = 2;
+        cfg.ring_slots = 64;
+        let mut host = Host::new(cfg);
+        let bob = host.spawn(Uid(1001), "bob", "server");
+        // Four ports steering to each of the two queues.
+        let queue_of = |port: u16| {
+            let tuple = pkt::FiveTuple {
+                src_ip: Ipv4Addr::new(10, 0, 0, 2),
+                dst_ip: host.cfg.ip,
+                src_port: 9000,
+                dst_port: port,
+                proto: IpProto::UDP,
+            };
+            nicsim::RssTable::uniform(2).queue_for(pkt::meta::flow_hash_of(&tuple))
+        };
+        let mut ports: Vec<u16> = (7000..7100).filter(|&p| queue_of(p) == 0).take(4).collect();
+        ports.extend((7000..7100).filter(|&p| queue_of(p) == 1).take(4));
+        let conns: Vec<_> = ports
+            .iter()
+            .map(|&port| {
+                host.connect(
+                    bob,
+                    IpProto::UDP,
+                    port,
+                    Ipv4Addr::new(10, 0, 0, 2),
+                    9000,
+                    false,
+                )
+                .unwrap()
+            })
+            .collect();
+        host.run_workers(2).unwrap();
+        host.start_trace();
+        let burst: Vec<Packet> = ports
+            .iter()
+            .chain(&ports)
+            .map(|&port| frame_to(&host, 9000, port, 200))
+            .collect();
+        let (mut offered, mut received) = (0u64, 0u64);
+        for round in 0..6u64 {
+            match round {
+                1 => host.arm_worker_panic(0, 1, "chaos: shard 0 dies mid-batch"),
+                3 => host.arm_worker_panic(1, 2, "chaos: shard 1 dies mid-batch"),
+                _ => Ok(()),
+            }
+            .unwrap();
+            let now = Time::from_us(round * 100);
+            let (reports, _) = host.pump(&burst, now);
+            offered += reports.len() as u64;
+            for &c in &conns {
+                while host
+                    .app_recv(c, now + Dur::from_us(50), false)
+                    .len
+                    .is_some()
+                {
+                    received += 1;
+                }
+            }
+        }
+        let stats = host.stats();
+        assert_eq!(host.worker_restarts(), 2);
+        // Each shard's batch carries 8 frames: shard 0 answers 1 before
+        // its panic, shard 1 answers 2.
+        assert_eq!(stats.worker_rerouted, 7 + 6, "unanswered frames rerouted");
+        assert_eq!(
+            offered,
+            received + stats.worker_rerouted,
+            "every frame is received or rerouted"
+        );
+        let violations = host.audit();
+        assert!(violations.is_empty(), "{violations:?}");
+        let tel = host.telemetry();
+        assert_eq!(tel.recovery_count(RecoveryKind::ShardPanic), 2);
+        format!(
+            "received {received} rerouted {} restarts {} stats {:?}",
+            stats.worker_rerouted,
+            host.worker_restarts(),
+            host.stats()
+        )
+    };
+    let first = run();
+    for rep in 1..50 {
+        assert_eq!(first, run(), "repetition {rep} accounted differently");
+    }
+}
+
 #[test]
 fn commit_watchdog_aborts_stalled_transaction() {
     let (mut host, _bob) = policy_host();

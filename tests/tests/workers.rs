@@ -6,7 +6,9 @@
 //! 1. **Replay equivalence** — `run_workers(1)` is byte-identical to the
 //!    single-queue `Host::pump` path: every delivery report, recv/send
 //!    result, departure, counter, and CPU meter matches, and the trace
-//!    ledger balances identically.
+//!    ledger balances identically. With 2 and 4 workers, and a shard
+//!    panic mid-script, repeated runs are byte-identical whichever
+//!    thread ran each batch.
 //! 2. **Quiesce barrier** — every trace event a shard buffers carries
 //!    the policy generation in force when its frame was handled, even
 //!    across faulted commits that roll back mid-apply. A multi-worker
@@ -79,9 +81,16 @@ fn ports_covering_queues(host_ip: Ipv4Addr, num_queues: usize, per_queue: usize)
 
 /// Runs one fixed traffic script — bursts, drains, sends, a policy
 /// commit, ring overflow — and returns a full textual transcript of
-/// every observable result plus final counters/meters.
-fn scripted_run(workers: bool) -> String {
+/// every observable result plus final counters/meters. `workers == 0`
+/// runs the single-queue dataplane; otherwise the NIC gets that many
+/// queues and the host that many worker shards, and with two or more,
+/// shard 1 panics mid-script.
+fn scripted_run(workers: usize) -> String {
     let cfg = HostConfig {
+        nic: nicsim::NicConfig {
+            num_queues: workers.max(1),
+            ..nicsim::NicConfig::default()
+        },
         ring_slots: 4,
         ..HostConfig::default()
     };
@@ -103,8 +112,8 @@ fn scripted_run(workers: bool) -> String {
             .unwrap()
         })
         .collect();
-    if workers {
-        h.run_workers(1).unwrap();
+    if workers > 0 {
+        h.run_workers(workers).unwrap();
     }
     let mut log = String::new();
     for round in 0..6u64 {
@@ -140,6 +149,10 @@ fn scripted_run(workers: bool) -> String {
         }
         let deps = h.pump_tx(now + Dur::from_us(3));
         log.push_str(&format!("tx {round}: {deps:?}\n"));
+        if workers >= 2 && round == 3 {
+            let err = h.inject_worker_panic(1, "scripted shard fault", now + Dur::from_us(3));
+            log.push_str(&format!("panic {err:?}\n"));
+        }
         // A policy commit mid-script exercises the quiesce path. The
         // commit reconfigures the TX scheduler, which discards queued
         // frames while the NIC keeps their pending-conn records — so
@@ -175,6 +188,17 @@ fn scripted_run(workers: bool) -> String {
         ));
     }
     log.push_str(&format!("drops {}\n", h.telemetry().total_drops()));
+    if workers >= 2 {
+        // Per-shard CPU and LLC traffic: the state a thread-dependent
+        // batch would perturb first.
+        for i in 0..workers {
+            log.push_str(&format!(
+                "core {i} {:?} llc {:?}\n",
+                h.sched.core_meter(i),
+                h.shard_llc_stats(i)
+            ));
+        }
+    }
     let violations = h.audit();
     assert!(violations.is_empty(), "audit: {violations:?}");
     log
@@ -182,12 +206,34 @@ fn scripted_run(workers: bool) -> String {
 
 #[test]
 fn one_worker_replay_is_byte_identical_to_pump() {
-    let baseline = scripted_run(false);
-    let sharded = scripted_run(true);
+    let baseline = scripted_run(0);
+    let sharded = scripted_run(1);
     assert_eq!(
         baseline, sharded,
         "run_workers(1) must replay the single-queue dataplane exactly"
     );
+}
+
+/// The shards' rings and LLC models must see the same operation
+/// sequence whether the caller or a worker thread ran each batch, so
+/// the multi-worker transcript — across a shard panic — repeats byte
+/// for byte.
+#[test]
+fn threaded_replay_is_byte_identical_across_runs() {
+    for workers in [2, 4] {
+        let first = scripted_run(workers);
+        assert!(
+            first.contains("ShardPanicked"),
+            "the script must crash a shard"
+        );
+        for rep in 1..20 {
+            assert_eq!(
+                first,
+                scripted_run(workers),
+                "{workers} workers, repetition {rep}: the transcript depends on thread timing"
+            );
+        }
+    }
 }
 
 #[test]
