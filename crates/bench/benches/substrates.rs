@@ -14,11 +14,11 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 
 use memsim::{HostRing, Llc, LlcConfig, MemCosts};
-use nicsim::{FlowTable, Sram};
+use nicsim::{FlowCacheConfig, FlowTable, Sram};
 use overlay::{builtins, PktCtx, Vm};
 use pkt::{FiveTuple, Mac, PacketBuilder, RssHasher};
 use qdisc::{Drr, Fifo, QPkt, Qdisc, Tbf, Wfq};
-use sim::Time;
+use sim::{DetRng, Time};
 
 /// CI smoke mode: run each benchmark body exactly once (correctness
 /// check, no timing) when `BENCH_SMOKE` is set.
@@ -235,6 +235,41 @@ fn bench_flowtable() {
     bench("flowtable", "lookup_10k_entries", || {
         i = (i + 1) % tuples.len();
         black_box(ft.lookup(black_box(&tuples[i]), &mut sram).unwrap());
+    });
+
+    // The scale of the paper's §5 state cliff: 32,768 connections behind
+    // a 1024-entry hot tier, keyed the way one host sees its RX traffic
+    // (fixed local address and proto, varying remote address), looked up
+    // in a seeded random order so no probe chain stays cached.
+    let mut sram = Sram::new(1 << 30);
+    let mut ft = FlowTable::new();
+    ft.configure_cache(
+        Some(FlowCacheConfig::priority_aware(1024, &[443])),
+        1,
+        |_| 0,
+        &mut sram,
+    );
+    let tuples: Vec<FiveTuple> = (0..32_768u32)
+        .map(|i| {
+            let t = FiveTuple::udp(
+                std::net::Ipv4Addr::new(10, 1, (i >> 8) as u8, i as u8),
+                9000,
+                "10.0.0.1".parse().unwrap(),
+                if i < 512 { 443 } else { 8080 },
+            );
+            ft.insert(t, 0, 1, "app", false, 0, &mut sram).unwrap();
+            t
+        })
+        .collect();
+    let mut rng = DetRng::seed_from_u64(1);
+    let mut order: Vec<usize> = (0..tuples.len()).collect();
+    for k in (1..order.len()).rev() {
+        order.swap(k, rng.range_usize(0, k + 1));
+    }
+    let mut i = 0;
+    bench("flowtable", "lookup_32k_host_tuples", || {
+        i = (i + 1) % order.len();
+        black_box(ft.lookup(black_box(&tuples[order[i]]), &mut sram).unwrap());
     });
 }
 

@@ -420,21 +420,6 @@ impl FlowTable {
         Ok((id, tier))
     }
 
-    /// Deprecated pre-tiering installer: single-queue, legacy signature.
-    #[deprecated(note = "use FlowTable::insert, which routes through the tiered cache")]
-    pub fn install(
-        &mut self,
-        tuple: FiveTuple,
-        uid: u32,
-        pid: u32,
-        comm: &str,
-        notify: bool,
-        sram: &mut Sram,
-    ) -> Result<ConnId, SramError> {
-        self.insert(tuple, uid, pid, comm, notify, 0, sram)
-            .map(|(id, _)| id)
-    }
-
     /// Reinstalls an exact-match connection under a *caller-chosen* id —
     /// the crash-recovery path, where the kernel re-populates a wiped
     /// table from its own connection records and the original ids must
@@ -967,6 +952,58 @@ mod tests {
 
     fn hit(ft: &mut FlowTable, sram: &mut Sram, sp: u16, dp: u16) -> LookupHit {
         ft.lookup(&tuple(sp, dp), sram).expect("hit")
+    }
+
+    #[test]
+    fn host_rx_tuples_spread_over_buckets() {
+        // A host's RX tuples share `dst_ip` and proto, so all their
+        // variation sits in the high words of the packed key. hashbrown
+        // indexes buckets by the low hash bits: 32,768 keys in a 2^16
+        // bucket table must reach close to the uniform count of distinct
+        // indices, not a few dozen probe chains.
+        use std::hash::{Hash, Hasher};
+        let host = |src: Ipv4Addr, sp: u16| FiveTuple::tcp(src, sp, addr("10.0.0.1"), 443);
+        let shapes: [(&str, Vec<FiveTuple>); 3] = [
+            (
+                "source ip and port",
+                (0..32_768u32)
+                    .map(|i| {
+                        host(
+                            Ipv4Addr::new(10, 1, (i >> 8) as u8, i as u8),
+                            9000 + (i % 7) as u16,
+                        )
+                    })
+                    .collect(),
+            ),
+            (
+                "source port",
+                (0..32_768u32)
+                    .map(|i| host(addr("10.0.0.2"), 1024 + i as u16))
+                    .collect(),
+            ),
+            (
+                "source ip, high octets",
+                (0..32_768u32)
+                    .map(|i| host(Ipv4Addr::new(10, (i >> 7) as u8, (i & 127) as u8, 1), 9000))
+                    .collect(),
+            ),
+        ];
+        let uniform = 65_536.0 * (1.0 - (-32_768.0f64 / 65_536.0).exp());
+        for (name, tuples) in shapes {
+            let buckets: std::collections::HashSet<u64> = tuples
+                .iter()
+                .map(|t| {
+                    let mut h = sim::FxHasher::default();
+                    exact_key(t).hash(&mut h);
+                    h.finish() & 0xFFFF
+                })
+                .collect();
+            assert!(
+                buckets.len() as f64 >= 0.9 * uniform,
+                "{name}: {} distinct bucket indices, uniform gives {uniform:.0}",
+                buckets.len()
+            );
+        }
     }
 
     #[test]
