@@ -497,7 +497,7 @@ fn bench_meta() {
 }
 
 /// The PR-2 batching comparison: 32 same-flow frames through
-/// `SmartNic::rx` one at a time vs one `SmartNic::rx_batch` call (single
+/// `SmartNic::rx_batch` one frame at a time vs one 32-frame call (single
 /// frozen check, batched stats, hash-sorted coalesced flow probe).
 fn bench_batch_rx() {
     use nicsim::{NicConfig, SmartNic};
@@ -519,7 +519,7 @@ fn bench_batch_rx() {
 
     bench("batch", "rx_batch1_x32", || {
         for p in &pkts {
-            black_box(nic.rx(p, Time::ZERO));
+            black_box(nic.rx_batch(std::slice::from_ref(p), Time::ZERO));
         }
     });
     bench("batch", "rx_batch32", || {
@@ -555,7 +555,7 @@ fn bench_telemetry() {
     nic.open_connection(tuple, 1001, 42, "app", false).unwrap();
     bench("telemetry", "rx_x32_disabled", || {
         for p in &pkts {
-            black_box(nic.rx(p, Time::ZERO));
+            black_box(nic.rx_batch(std::slice::from_ref(p), Time::ZERO));
         }
     });
 
@@ -568,7 +568,7 @@ fn bench_telemetry() {
     nic.set_telemetry(tel.clone());
     bench("telemetry", "rx_x32_enabled", || {
         for p in &pkts {
-            black_box(nic.rx(p, Time::ZERO));
+            black_box(nic.rx_batch(std::slice::from_ref(p), Time::ZERO));
         }
     });
 
@@ -594,7 +594,7 @@ fn bench_telemetry() {
     .unwrap();
     bench("telemetry", "rx_x32_file_sink", || {
         for p in &pkts {
-            black_box(nic.rx(p, Time::ZERO));
+            black_box(nic.rx_batch(std::slice::from_ref(p), Time::ZERO));
         }
     });
     tel.finish_sink().unwrap();

@@ -105,7 +105,7 @@ fn run(conns: usize, llc: LlcConfig, shared_rings: bool) -> (f64, f64, f64, f64)
         let measure = round >= rounds - 2;
         // Snapshot CPU hit/miss around the service phase so the
         // background sweep does not pollute the consumer hit rate.
-        let s0 = host.llc().stats();
+        let s0 = host.llc_stats();
         if shared_rings {
             // One shared ring per process drains in arrival order: the
             // produce-to-consume reuse distance is bounded by ring
@@ -161,18 +161,19 @@ fn run(conns: usize, llc: LlcConfig, shared_rings: bool) -> (f64, f64, f64, f64)
             }
         }
         if measure {
-            let s1 = host.llc().stats();
+            let s1 = host.llc_stats();
             cpu_hits += s1.cpu_hits - s0.cpu_hits;
             cpu_misses += s1.cpu_misses - s0.cpu_misses;
         }
         // Application compute phase: sweep the background working set.
         // (Not charged to per-packet costs; it is the apps' own work.)
-        let mut addr = bg_base;
-        while addr < bg_base + bg_bytes {
-            host.llc_mut()
-                .access_range(addr, 64, memsim::AccessKind::CpuRead, &mem);
-            addr += 64;
-        }
+        host.with_llc(|llc| {
+            let mut addr = bg_base;
+            while addr < bg_base + bg_bytes {
+                llc.access_range(addr, 64, memsim::AccessKind::CpuRead, &mem);
+                addr += 64;
+            }
+        });
     }
 
     let dma_ns = dma_total.as_ns_f64() / measured_pkts as f64;

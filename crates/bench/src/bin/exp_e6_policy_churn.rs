@@ -96,7 +96,7 @@ fn run_kopi(seed: u64) -> Row {
         .ipv4("10.0.0.2".parse().unwrap(), "10.0.0.1".parse().unwrap())
         .udp(9000, 8080, b"alive")
         .build();
-    let r = nic.rx(&probe, now + Dur::from_secs(1));
+    let r = nic.rx_batch(&[probe], now + Dur::from_secs(1)).remove(0);
     assert!(
         !matches!(r.disposition, RxDisposition::Drop { .. }),
         "dataplane alive after churn"

@@ -84,8 +84,8 @@ fn run(features: &'static str) -> Row {
     // pipeline is pipelined, so the constraint is per-stage occupancy,
     // dominated by the overlay programs. Measure occupancy directly with
     // a back-to-back burst on the raw NIC.
-    let burst0 = host.nic.rx(&frame, t);
-    let burst1 = host.nic.rx(&frame, t);
+    let burst0 = host.nic.rx_batch(std::slice::from_ref(&frame), t).remove(0);
+    let burst1 = host.nic.rx_batch(std::slice::from_ref(&frame), t).remove(0);
     let occupancy = burst1.ready_at - burst0.ready_at;
     let min_frame_ok = occupancy <= sim::Link::hundred_gbe().serialization(64) * 16;
     // (A real pipeline processes 16 packets in parallel stages; the

@@ -225,12 +225,13 @@ fn run(conns: usize, policy: Option<FlowCacheConfig>, policy_name: &'static str)
             }
         }
         // Compute phase: sweep the apps' own working set through the LLC.
-        let mut addr = bg_base;
-        while addr < bg_base + bg_bytes {
-            host.llc_mut()
-                .access_range(addr, 64, memsim::AccessKind::CpuRead, &mem);
-            addr += 64;
-        }
+        host.with_llc(|llc| {
+            let mut addr = bg_base;
+            while addr < bg_base + bg_bytes {
+                llc.access_range(addr, 64, memsim::AccessKind::CpuRead, &mem);
+                addr += 64;
+            }
+        });
     }
     let fs = host.nic.flows.stats();
     let violations = host.audit();

@@ -6,7 +6,7 @@
 //! *control-plane* methods (`load_program`, `open_connection`,
 //! `enable_sniffer`, …) are the operations only the kernel may invoke —
 //! callers gate them behind the privileged register path. The
-//! *dataplane* methods (`rx`, `tx_enqueue`, `tx_poll`) are what every
+//! *dataplane* methods (`rx_batch`, `tx_enqueue`, `tx_poll`) are what every
 //! packet traverses.
 
 use std::collections::HashMap;
@@ -1559,51 +1559,8 @@ impl SmartNic {
         }
     }
 
-    /// The parser stage: derives the parse-once descriptor (or reuses the
-    /// one attached at build time) and rejects damaged frames before they
-    /// can touch the flow table or overlay state. A frame that fails to
-    /// parse, or parses but fails its transport checksum, is a counted
-    /// drop — never a flow-table entry, notification, or slow-path punt
-    /// built from garbage bytes.
-    ///
-    /// Returns `Err(rx_result)` when the frame was consumed as a drop.
-    #[allow(clippy::result_large_err)] // Err is the fully-formed per-frame report
-    fn rx_parse(&mut self, packet: &Packet, now: Time) -> Result<FrameMeta, RxResult> {
-        match FrameMeta::of(packet) {
-            Ok(m) if !m.l4_checksum_ok => {
-                self.stats.rx_bad_checksum += 1;
-                Err(self.rx_malformed_drop(packet, Ok(&m), now))
-            }
-            Ok(m) => Ok(m),
-            Err(e) => {
-                self.stats.rx_malformed += 1;
-                Err(self.rx_malformed_drop(packet, Err(&e), now))
-            }
-        }
-    }
-
-    /// Processes one ingress frame arriving from the wire at `now`.
-    pub fn rx(&mut self, packet: &Packet, now: Time) -> RxResult {
-        self.stats.rx_frames += 1;
-        if self.tick_crash(now) {
-            return self.rx_dead_drop(packet, now);
-        }
-        if now < self.frozen_until {
-            return self.rx_frozen_drop(packet, now);
-        }
-        let meta = match self.rx_parse(packet, now) {
-            Ok(m) => m,
-            Err(dropped) => return dropped,
-        };
-        let hit = meta.tuple.and_then(|t| {
-            let resolved = self.flows.resolve(&t);
-            self.flows.touch_lookup(resolved, &mut self.sram)
-        });
-        self.rx_finish(packet, meta, hit, now)
-    }
-
     /// The post-lookup half of ingress: overlay stages, timing, tap,
-    /// disposition, and notification. Shared by [`SmartNic::rx`] and
+    /// disposition, and notification, for one frame of
     /// [`SmartNic::rx_batch`]; `hit` is the flow-table steering decision
     /// with its tier movements already applied.
     fn rx_finish(
@@ -1867,25 +1824,34 @@ impl SmartNic {
     /// ([`FlowTable::lookup_batch`]), then per-frame completion in arrival
     /// order.
     ///
-    /// The results — dispositions, timing, stats, sniffer captures, and
-    /// notifications — are identical to calling [`SmartNic::rx`] once per
-    /// frame in order; the batch only restructures the work.
+    /// The results — dispositions, timing, stats, sniffer captures,
+    /// notifications, and crash-schedule ticks — are identical to calling
+    /// `rx_batch` once per frame in order (one frame per call is the
+    /// unbatched ingress path); the batch only restructures the work.
     pub fn rx_batch(&mut self, packets: &[Packet], now: Time) -> Vec<RxResult> {
         self.stats.rx_frames += packets.len() as u64;
         if self.dead {
             return packets.iter().map(|p| self.rx_dead_drop(p, now)).collect();
         }
         if now < self.frozen_until {
+            // A frozen device still observes each frame, so the crash
+            // schedule ticks once per frame here too.
             return packets
                 .iter()
-                .map(|p| self.rx_frozen_drop(p, now))
+                .map(|p| {
+                    if self.tick_crash(now) {
+                        self.rx_dead_drop(p, now)
+                    } else {
+                        self.rx_frozen_drop(p, now)
+                    }
+                })
                 .collect();
         }
 
         // Stage 1: a side-effect-free parser sweep (build-time descriptors
         // short-circuit it entirely). Drop accounting stays in stage 3 so
         // pipeline occupancy and sniffer captures advance in arrival
-        // order, exactly as the sequential path would.
+        // order, exactly as single-frame calls would.
         let metas: Vec<Result<FrameMeta, pkt::PktError>> =
             packets.iter().map(FrameMeta::of).collect();
 
@@ -1909,8 +1875,8 @@ impl SmartNic {
 
         // Stage 3: finish each frame in arrival order, preserving
         // per-stage timing, capture, and notification semantics. The
-        // crash schedule ticks here, once per frame exactly as the
-        // sequential path would: a crash mid-batch dead-drops this and
+        // crash schedule ticks here, once per frame exactly as
+        // single-frame calls would: a crash mid-batch dead-drops this and
         // every later frame (the stage-2 steering results for them die
         // with the flow table they were probed from, and a dead-dropped
         // frame never touches lookup state — it vanished at the wire).
@@ -2392,6 +2358,13 @@ mod tests {
     use pkt::{Mac, PacketBuilder};
     use std::net::Ipv4Addr;
 
+    /// Single-frame ingress: a batch of one.
+    fn rx1(nic: &mut SmartNic, p: &Packet, now: Time) -> RxResult {
+        nic.rx_batch(std::slice::from_ref(p), now)
+            .pop()
+            .expect("one frame in, one result out")
+    }
+
     fn addr(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
     }
@@ -2415,7 +2388,7 @@ mod tests {
     #[test]
     fn unmatched_rx_goes_to_slowpath() {
         let mut nic = nic();
-        let r = nic.rx(&udp_to(9999), Time::ZERO);
+        let r = rx1(&mut nic, &udp_to(9999), Time::ZERO);
         assert_eq!(
             r.disposition,
             RxDisposition::SlowPath {
@@ -2431,7 +2404,7 @@ mod tests {
         let id = nic
             .open_connection(rx_tuple(5432), 1001, 42, "postgres", false)
             .unwrap();
-        let r = nic.rx(&udp_to(5432), Time::ZERO);
+        let r = rx1(&mut nic, &udp_to(5432), Time::ZERO);
         assert_eq!(
             r.disposition,
             RxDisposition::Deliver {
@@ -2458,7 +2431,7 @@ mod tests {
         // 1002, so its traffic is dropped on the NIC.
         nic.fill_map(ProgramSlot::IngressFilter, 0, 5432, 1002)
             .unwrap();
-        let r = nic.rx(&udp_to(5432), Time::ZERO);
+        let r = rx1(&mut nic, &udp_to(5432), Time::ZERO);
         assert_eq!(
             r.disposition,
             RxDisposition::Drop {
@@ -2475,14 +2448,14 @@ mod tests {
             .open_connection(rx_tuple(7000), 1001, 55, "server", true)
             .unwrap();
         nic.arm_interrupt(55);
-        let r = nic.rx(&udp_to(7000), Time::ZERO);
+        let r = rx1(&mut nic, &udp_to(7000), Time::ZERO);
         assert!(r.interrupt, "armed interrupt should fire");
         let n = nic.pop_notification(55).expect("notification posted");
         assert_eq!(n.conn, id);
         assert_eq!(n.kind, NotifyKind::RxReady);
         // Next packet: no interrupt (disarmed), but a notification for a
         // different state change is posted.
-        let r = nic.rx(&udp_to(7000), Time::from_us(1));
+        let r = rx1(&mut nic, &udp_to(7000), Time::from_us(1));
         assert!(!r.interrupt);
     }
 
@@ -2493,7 +2466,7 @@ mod tests {
             .unwrap();
         let back = nic.reprogram_bitstream(Time::ZERO);
         assert_eq!(back, Time::ZERO + NicConfig::default().bitstream_reprogram);
-        let r = nic.rx(&udp_to(80), Time::from_secs(1));
+        let r = rx1(&mut nic, &udp_to(80), Time::from_secs(1));
         assert_eq!(
             r.disposition,
             RxDisposition::Drop {
@@ -2501,7 +2474,7 @@ mod tests {
             }
         );
         // After it completes, traffic flows again.
-        let r = nic.rx(&udp_to(80), back);
+        let r = rx1(&mut nic, &udp_to(80), back);
         assert!(matches!(r.disposition, RxDisposition::Deliver { .. }));
         assert_eq!(nic.stats().dropped_reprogramming, 1);
     }
@@ -2530,7 +2503,7 @@ mod tests {
             .unwrap();
         assert!(cost < Dur::from_ms(1));
         // Dataplane continues working immediately.
-        let r = nic.rx(&udp_to(80), Time::ZERO);
+        let r = rx1(&mut nic, &udp_to(80), Time::ZERO);
         assert!(matches!(r.disposition, RxDisposition::Deliver { .. }));
         assert_eq!(nic.stats().program_swaps, 1);
     }
@@ -2687,7 +2660,7 @@ mod tests {
         let slot = nic
             .add_accounting(builtins::byte_accounting(), Time::ZERO)
             .unwrap();
-        nic.rx(&udp_to(5000), Time::ZERO);
+        rx1(&mut nic, &udp_to(5000), Time::ZERO);
         nic.tx_enqueue(id, &udp_to(9000), Time::ZERO).unwrap();
         let bytes = nic.read_accounting_map(slot, 0, 42).unwrap();
         assert_eq!(bytes, 2 * udp_to(5000).len() as u64);
@@ -2724,8 +2697,8 @@ mod tests {
             .unwrap();
         nic.fill_map(ProgramSlot::IngressFilter, 0, 1, 1_000_000)
             .unwrap();
-        let r1 = nic.rx(&udp_to(80), Time::ZERO);
-        let r2 = nic.rx(&udp_to(80), Time::ZERO);
+        let r1 = rx1(&mut nic, &udp_to(80), Time::ZERO);
+        let r2 = rx1(&mut nic, &udp_to(80), Time::ZERO);
         assert!(r2.ready_at > r1.ready_at);
     }
 
@@ -2757,7 +2730,7 @@ mod tests {
     fn single_queue_nic_stamps_queue_zero() {
         let mut nic = nic();
         nic.open_connection(rx_tuple(80), 0, 1, "a", false).unwrap();
-        let r = nic.rx(&udp_to(80), Time::ZERO);
+        let r = rx1(&mut nic, &udp_to(80), Time::ZERO);
         assert_eq!(nic.num_queues(), 1);
         assert_eq!(r.meta.unwrap().queue, 0);
     }
@@ -2773,7 +2746,7 @@ mod tests {
         for port in 5000..5064 {
             nic.open_connection(rx_tuple(port), 0, 1, "a", false)
                 .unwrap();
-            let r = nic.rx(&udp_to(port), Time::ZERO);
+            let r = rx1(&mut nic, &udp_to(port), Time::ZERO);
             assert!(matches!(r.disposition, RxDisposition::Deliver { .. }));
             let m = r.meta.unwrap();
             // Stamp agrees with the table the kernel programmed.
@@ -2886,7 +2859,7 @@ mod tests {
         assert!(!nic.program_loaded(ProgramSlot::IngressFilter));
         assert_eq!(nic.tx_backlog(), 0);
         // Everything is gated.
-        let r = nic.rx(&udp_to(5432), Time::from_ns(200));
+        let r = rx1(&mut nic, &udp_to(5432), Time::from_ns(200));
         assert_eq!(
             r.disposition,
             RxDisposition::Drop {
@@ -2927,7 +2900,7 @@ mod tests {
         assert!(nic.is_frozen(Time::from_ns(1001)));
         // During the reset window frames drop as reprogramming (the
         // device is alive but the dataplane is still dark).
-        let r = nic.rx(&udp_to(9999), Time::from_ns(2000));
+        let r = rx1(&mut nic, &udp_to(9999), Time::from_ns(2000));
         assert_eq!(
             r.disposition,
             RxDisposition::Drop {
@@ -2940,7 +2913,7 @@ mod tests {
         let id = nic
             .open_connection(rx_tuple(5432), 1001, 42, "postgres", false)
             .unwrap();
-        let r = nic.rx(&udp_to(5432), after);
+        let r = rx1(&mut nic, &udp_to(5432), after);
         assert_eq!(
             r.disposition,
             RxDisposition::Deliver {
@@ -2960,7 +2933,7 @@ mod tests {
         let frames: Vec<Packet> = (0..5).map(|_| udp_to(9999)).collect();
         let seq: Vec<_> = frames
             .iter()
-            .map(|p| a.rx(p, Time::ZERO).disposition)
+            .map(|p| rx1(&mut a, p, Time::ZERO).disposition)
             .collect();
         // Batched: identical dispositions, crash at the same frame.
         let mut b = nic();
@@ -2989,6 +2962,31 @@ mod tests {
     }
 
     #[test]
+    fn frozen_device_ticks_crash_schedule_per_frame() {
+        let frames: Vec<Packet> = (0..5).map(|_| udp_to(9999)).collect();
+        let mut a = nic();
+        a.reprogram_bitstream(Time::ZERO);
+        a.rx_batch(&frames, Time::ZERO);
+        a.rx_batch(&frames, Time::ZERO);
+        assert_eq!(a.crash_injector_stats(), (10, 0));
+        // A crash inside the frozen window dead-drops that frame and
+        // every later one, exactly as single-frame calls would.
+        let mut b = nic();
+        b.set_crash_injector(CrashInjector::at_op(3));
+        b.reprogram_bitstream(Time::ZERO);
+        let reasons: Vec<_> = frames
+            .iter()
+            .map(|p| match rx1(&mut b, p, Time::ZERO).disposition {
+                RxDisposition::Drop { reason } => reason,
+                other => panic!("frozen device delivered: {other:?}"),
+            })
+            .collect();
+        use DropReason::{DeviceDead as Dead, Reprogramming as Frozen};
+        assert_eq!(reasons, [Frozen, Frozen, Dead, Dead, Dead]);
+        assert_eq!(b.crash_injector_stats(), (3, 1));
+    }
+
+    #[test]
     fn restore_connection_brings_back_original_id() {
         let mut nic = nic();
         let id = nic
@@ -2999,7 +2997,7 @@ mod tests {
         let after = nic.frozen_until() + Dur::from_ns(1);
         nic.restore_connection(id, rx_tuple(5432), 1001, 42, "postgres", true)
             .unwrap();
-        let r = nic.rx(&udp_to(5432), after);
+        let r = rx1(&mut nic, &udp_to(5432), after);
         assert_eq!(
             r.disposition,
             RxDisposition::Deliver {
@@ -3030,9 +3028,9 @@ mod tests {
             .udp(5432, 40_000, &[0u8; 64])
             .build();
         nic.tx_enqueue(id, &out, Time::ZERO).unwrap();
-        nic.rx(&udp_to(5432), Time::ZERO);
+        rx1(&mut nic, &udp_to(5432), Time::ZERO);
         nic.crash(Time::from_ns(50));
-        nic.rx(&udp_to(5432), Time::from_ns(60));
+        rx1(&mut nic, &udp_to(5432), Time::from_ns(60));
         let _ = nic.tx_enqueue(id, &out, Time::from_ns(70));
         assert!(nic.audit().is_empty(), "{:?}", nic.audit());
         assert_eq!(

@@ -2,22 +2,26 @@
 //!
 //! [`Host`] owns every component of Figure 1 and exposes two faces:
 //!
-//! * **Control plane** (kernel): `spawn`, `connect`, `close`,
-//!   `reserve_port`, `install_shaping`, sniffer control. These are the
-//!   only paths that configure the NIC, and they consult the process
-//!   table — policies are expressed over users and processes, not queues.
-//! * **Dataplane** (library + NIC): `deliver_from_wire`, `app_send`,
+//! * **Control plane** (kernel): `spawn`, `connect`, `listen`, `close`,
+//!   and `update_policy` (reservations, shaping, sniffer, NAT, RSS,
+//!   degradation — one transactional commit through [`crate::ctrl`]).
+//!   These are the only paths that configure the NIC, and they consult
+//!   the process table — policies are expressed over users and
+//!   processes, not queues.
+//! * **Dataplane** (library + NIC): `pump`, `deliver_frame`, `app_send`,
 //!   `app_recv`, `pump_tx`. Data never crosses the kernel on these paths;
-//!   costs come from the ring/LLC model and the NIC pipeline.
+//!   costs come from the ring/LLC model and the NIC pipeline. Every ring
+//!   pair lives in a [`crate::workers`] shard: one caller-run shard
+//!   inline, one per RSS queue in worker mode.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use memsim::{DescRing, Llc, LlcConfig, LlcPartitionPlan, LlcStats, MemCosts, MmioBus};
 use nicsim::pipeline::{DropReason, TxDeparture};
 use nicsim::{
     ConnId, NatTable, NicConfig, NicError, Notification, NotifyKind, RxDisposition, SmartNic,
-    SnifferFilter, TxDisposition,
+    TxDisposition,
 };
 use oskernel::{
     ArpCache, CgroupId, CgroupTree, Cred, NetStack, Pid, ProcessTable, RxOutcome, Scheduler, Uid,
@@ -31,8 +35,10 @@ use telemetry::{
 };
 
 use crate::ctrl::{ControlPlane, CtrlError, PolicyStore, StagedCommit};
-use crate::policy::{PortReservation, ShapingPolicy};
-use crate::workers::{DeliverJob, RecvReply, SendReply, ShardOutcome, WorkerError, WorkerPool};
+use crate::policy::PortReservation;
+use crate::workers::{
+    DeliverJob, RecvReply, RingEntry, SendReply, ShardOutcome, WorkerError, WorkerPool,
+};
 
 /// Host configuration.
 #[derive(Clone, Debug)]
@@ -133,6 +139,13 @@ pub(crate) use sim::FastMap;
 /// never a payload.
 pub(crate) type PktRing = DescRing<Packet>;
 
+/// Which shard owns a connection with this RX tuple under the NIC's live
+/// RSS indirection table (modulo the shard count, so a policy that
+/// shrinks the queue set cannot strand a ring without an owner).
+fn shard_for_tuple(nic: &SmartNic, tuple: &FiveTuple, n: usize) -> usize {
+    usize::from(nic.rss().queue_for(pkt::meta::flow_hash_of(tuple))) % n
+}
+
 impl RingKey {
     /// A total order so worker shards can drain their rings
     /// deterministically regardless of hash-map iteration order.
@@ -158,6 +171,8 @@ pub struct Connection {
     /// Whether notifications (blocking I/O) are enabled.
     pub notify: bool,
     ring_key: RingKey,
+    /// The shard holding the ring pair.
+    shard: usize,
 }
 
 /// What happened to a wire-delivered frame.
@@ -263,10 +278,6 @@ pub struct Host {
     pub cgroups: CgroupTree,
     /// Scheduler and CPU meters.
     pub sched: Scheduler,
-    /// Last-level cache (with DDIO way-cap). Single-queue traffic goes
-    /// through this cache; in multi-queue mode each worker shard owns a
-    /// way-disjoint partition of it instead (see [`Host::run_workers`]).
-    llc: Llc,
     /// MMIO accounting.
     pub mmio: MmioBus,
     /// The SmartNIC.
@@ -278,14 +289,10 @@ pub struct Host {
     conns: FastMap<ConnId, Connection>,
     listeners: FastMap<ConnId, (Pid, IpProto, u16)>,
     pending_accepts: FastMap<ConnId, std::collections::VecDeque<FiveTuple>>,
-    rings: FastMap<RingKey, (PktRing, PktRing)>,
     tx_retry: VecDeque<(ConnId, Packet)>,
     /// The pooled frame arena: one slab of `arena_slots x ring_slot_bytes`
     /// backing every arena-built or wire-adopted frame on this host.
     arena: BufArena,
-    /// Arena-backed descriptors resident in worker-shard rings, as summed
-    /// at the most recent quiesce barrier (audit ledger input).
-    shard_arena_resident: u64,
     /// The unified control plane: the only writer of dataplane policy.
     ctrl: ControlPlane,
     /// The kernel-owned NAT table, created and populated solely by
@@ -298,18 +305,13 @@ pub struct Host {
     stats: HostStats,
     /// The shared telemetry hub every layer (NIC, stack, host) emits into.
     tel: Telemetry,
-    /// Frame ids currently sitting in each RX ring, FIFO order — lets
-    /// `app_recv` attribute the dequeued slot to the frame that filled it
-    /// (rings carry bytes, not descriptors). Maintained only while
-    /// tracing is enabled.
-    ring_frame_ids: FastMap<RingKey, VecDeque<u64>>,
     /// Host counters at the moment tracing was last enabled, so audits
     /// compare the event ledger against counter *deltas*.
     tel_baseline: HostStats,
-    /// The per-queue worker fleet, when multi-queue mode is active
-    /// ([`Host::run_workers`]). While set, every ring pair lives inside
-    /// a worker shard and the maps above hold only non-sharded state.
-    workers: Option<WorkerPool>,
+    /// The shards holding every ring pair and the LLC model: one
+    /// caller-run shard with the whole cache inline, or one threaded
+    /// shard per RSS queue after [`Host::run_workers`].
+    workers: WorkerPool,
     /// Overload-degradation detector state (engaged flag + the current
     /// pressure window), driven by the committed
     /// [`DegradationPolicy`](crate::ctrl::DegradationPolicy).
@@ -319,6 +321,10 @@ pub struct Host {
     /// lets [`Host::maybe_reconcile`] rebuild the flow table exactly
     /// once per NIC reset, before the control plane reinstalls policy.
     resets_restored: u64,
+    /// Cumulative LLC traffic of caller-run shards, merged at every
+    /// quiesce barrier — with the live shard's counters, the `llc.*`
+    /// metrics.
+    caller_llc: LlcStats,
     /// Cumulative LLC traffic per worker shard, merged at every quiesce
     /// barrier — the `llc.shard.<n>.*` metrics. Survives worker
     /// stop/start cycles.
@@ -337,6 +343,19 @@ struct DegradeState {
     engaged: bool,
     window_seen: u64,
     window_pressured: u64,
+}
+
+/// A fast-path frame handed to its shard, awaiting the outcome.
+struct Staged {
+    /// Arrival position in the burst.
+    idx: usize,
+    shard: usize,
+    conn: ConnId,
+    pid: Pid,
+    interrupt: bool,
+    ready_at: Time,
+    fid: u64,
+    tuple: Option<FiveTuple>,
 }
 
 impl Host {
@@ -360,7 +379,6 @@ impl Host {
             procs: ProcessTable::new(),
             cgroups: CgroupTree::new(),
             sched: Scheduler::with_defaults(),
-            llc: Llc::new(cfg.llc.clone()),
             mmio: MmioBus::new(),
             nic,
             stack,
@@ -368,10 +386,8 @@ impl Host {
             conns: FastMap::default(),
             listeners: FastMap::default(),
             pending_accepts: FastMap::default(),
-            rings: FastMap::default(),
             tx_retry: VecDeque::new(),
             arena: BufArena::new(cfg.arena_slots, cfg.ring_slot_bytes),
-            shard_arena_resident: 0,
             ctrl: ControlPlane::new(tel.clone()),
             nat: None,
             next_ring_index: 0,
@@ -379,11 +395,15 @@ impl Host {
             kernel_cpu: Dur::ZERO,
             stats: HostStats::default(),
             tel,
-            ring_frame_ids: FastMap::default(),
             tel_baseline: HostStats::default(),
-            workers: None,
+            workers: WorkerPool::new(
+                LlcPartitionPlan::split(cfg.llc.clone(), 1),
+                cfg.mem.clone(),
+                false,
+            ),
             degrade: DegradeState::default(),
             resets_restored: 0,
+            caller_llc: LlcStats::default(),
             shard_llc: Vec::new(),
             cfg,
         }
@@ -393,21 +413,21 @@ impl Host {
     // Multi-queue workers
     // ------------------------------------------------------------------
 
-    /// Starts multi-queue mode: one shard and one worker thread per NIC
-    /// RSS queue, each shard holding the ring pairs of every connection
-    /// whose flow hash steers to its queue. `n` must equal the NIC's
-    /// configured queue count so ownership is 1:1.
+    /// Starts multi-queue mode: re-splits the dataplane into one shard
+    /// and one worker thread per NIC RSS queue, each shard holding the
+    /// ring pairs of every connection whose flow hash steers to its
+    /// queue and a way-disjoint slice of the LLC. `n` must equal the
+    /// NIC's configured queue count so ownership is 1:1.
     ///
     /// Existing rings migrate into their owning shards; new connections
-    /// are placed by the live RSS indirection table. Shard-local
-    /// counters, CPU time, and trace events merge back into the host at
-    /// the [`Host::quiesce`] barrier, which policy commits, reconciles,
-    /// and audits all take automatically.
+    /// are placed by the live RSS indirection table. Shard LLC counters
+    /// merge back into the host at the [`Host::quiesce`] barrier, which
+    /// policy commits, reconciles, and audits all take automatically.
     ///
-    /// With `n == 1` the worker path is byte-identical to the
-    /// single-queue [`Host::pump`] path on a fresh host.
+    /// With `n == 1` the worker path is byte-identical to the caller-run
+    /// [`Host::pump`] path on a fresh host.
     pub fn run_workers(&mut self, n: usize) -> Result<(), WorkerError> {
-        if self.workers.is_some() {
+        if self.workers.threaded() {
             return Err(WorkerError::AlreadyRunning);
         }
         if self.cfg.shared_rings {
@@ -417,85 +437,77 @@ impl Host {
         if n == 0 || n != queues {
             return Err(WorkerError::QueueMismatch { workers: n, queues });
         }
-        // Shared-nothing LLC: carve the host cache into way-disjoint
-        // per-shard partitions, each with its own DDIO mask (floored at
-        // one way per shard), so one shard's ring working set cannot
-        // evict another's and no shard's DMA is forced to DRAM.
-        let plan = LlcPartitionPlan::split(self.cfg.llc.clone(), n);
         if self.shard_llc.len() < n {
             self.shard_llc.resize_with(n, LlcStats::default);
         }
-        let mut pool = WorkerPool::new(n, plan, self.cfg.mem.clone());
-        let mut placements: Vec<(RingKey, usize)> = self
-            .conns
-            .values()
-            .map(|c| (c.ring_key, self.shard_for_tuple(&c.tuple, n)))
-            .collect();
-        placements.sort_unstable_by_key(|(k, _)| k.order());
-        for (key, shard) in placements {
-            if let Some((rx, tx)) = self.rings.remove(&key) {
-                let fids = self.ring_frame_ids.remove(&key).unwrap_or_default();
-                pool.install(shard, key, rx, tx, fids);
-            }
-        }
-        self.workers = Some(pool);
+        self.resplit(n, true);
         Ok(())
     }
 
     /// Stops multi-queue mode: quiesces every shard, folds the rings
-    /// back into the host, and joins the worker threads (dropping the
-    /// pool). The host then behaves exactly as before
-    /// [`Host::run_workers`].
+    /// back into one caller-run shard with the whole LLC, and joins the
+    /// worker threads.
     pub fn stop_workers(&mut self) {
+        if self.workers.threaded() {
+            self.resplit(1, false);
+        }
+    }
+
+    /// Replaces the shard pool with `n` shards over way-disjoint slices
+    /// of the host LLC (threaded or caller-run), moving every ring pair
+    /// to the shard its connection's RSS queue names. Rings without a
+    /// connection (a process's shared pair) land in shard 0.
+    fn resplit(&mut self, n: usize, threaded: bool) {
         self.quiesce();
-        let Some(mut pool) = self.workers.take() else {
-            return;
-        };
-        for e in pool.drain_all() {
-            if !e.fids.is_empty() {
-                self.ring_frame_ids.insert(e.key, e.fids);
-            }
-            self.rings.insert(e.key, (e.rx, e.tx));
+        let plan = LlcPartitionPlan::split(self.cfg.llc.clone(), n);
+        let mut old = std::mem::replace(
+            &mut self.workers,
+            WorkerPool::new(plan, self.cfg.mem.clone(), threaded),
+        );
+        let mut home: FastMap<RingKey, usize> = FastMap::default();
+        for c in self.conns.values_mut() {
+            c.shard = shard_for_tuple(&self.nic, &c.tuple, n);
+            home.insert(c.ring_key, c.shard);
+        }
+        for e in old.drain_all() {
+            let shard = home.get(&e.key).copied().unwrap_or(0);
+            self.workers.install(shard, e);
         }
     }
 
     /// Whether multi-queue worker mode is active.
     pub fn workers_active(&self) -> bool {
-        self.workers.is_some()
+        self.workers.threaded()
     }
 
     /// How many worker shards are running (0 in single-queue mode).
     pub fn num_workers(&self) -> usize {
-        self.workers.as_ref().map_or(0, |p| p.num_workers())
+        if self.workers.threaded() {
+            self.workers.num_shards()
+        } else {
+            0
+        }
     }
 
-    /// The quiesce barrier: every worker drains its delivery counters,
-    /// busy time, and buffered trace events back into the host — stats
-    /// merge into [`Host::stats`], busy time lands on the per-core CPU
-    /// meters, and events are absorbed into the telemetry hub with
-    /// their original generation stamps. Returns the number of frames
-    /// still resident in shard RX rings (the audit's occupancy ledger).
+    /// The quiesce barrier: every shard hands its LLC traffic since the
+    /// last barrier back to the host (the `llc.*` and `llc.shard.<i>.*`
+    /// metrics), and supervisor crash records are accounted. Returns the
+    /// number of traced frames still resident in shard RX rings (the
+    /// audit's occupancy ledger).
     ///
     /// Policy commits, bitstream reconciles, audits, and trace restarts
-    /// all quiesce first, so a generation swap is atomic across shards.
-    /// A no-op (returning 0) in single-queue mode.
+    /// all quiesce first.
     pub fn quiesce(&mut self) -> u64 {
-        let Some(pool) = self.workers.as_mut() else {
-            return 0;
-        };
+        let threaded = self.workers.threaded();
         let mut queued = 0;
-        let mut shard_arena = 0;
-        for (core, rep) in pool.quiesce().into_iter().enumerate() {
-            self.stats.fast_delivered += rep.stats.fast_delivered;
-            self.stats.ring_drops += rep.stats.ring_drops;
-            self.stats.ring_missing += rep.stats.ring_missing;
-            self.sched.charge_core_busy(core, rep.busy);
-            self.shard_llc[core].absorb(&rep.llc);
-            self.tel.absorb(rep.events);
+        for (core, rep) in self.workers.quiesce().into_iter().enumerate() {
+            if threaded {
+                self.shard_llc[core].absorb(&rep.llc);
+            } else {
+                self.caller_llc.absorb(&rep.llc);
+            }
             queued += rep.queued_fids;
-            shard_arena += rep.arena_resident;
         }
-        self.shard_arena_resident = shard_arena;
         self.absorb_worker_crashes(Time::ZERO);
         queued
     }
@@ -504,10 +516,7 @@ impl Host {
     /// counters, the backoff CPU penalty on the crashed shard's core,
     /// and `ShardPanic`/`ShardRestart` recovery events.
     fn absorb_worker_crashes(&mut self, now: Time) {
-        let Some(pool) = self.workers.as_mut() else {
-            return;
-        };
-        for crash in pool.take_crashes() {
+        for crash in self.workers.take_crashes() {
             self.stats.worker_restarts += 1;
             self.sched.charge_core_busy(crash.shard, crash.penalty);
             self.tel.record_recovery(
@@ -527,9 +536,9 @@ impl Host {
     }
 
     /// Injects a panic into worker shard `shard` (chaos testing). The
-    /// supervisor catches it synchronously: the shard's rings and
-    /// counters are salvaged, the restarted shard is serving by the time
-    /// this returns, and the crash is fully accounted. Always returns
+    /// supervisor catches it synchronously: the shard's rings are
+    /// salvaged, the restarted shard is serving by the time this
+    /// returns, and the crash is fully accounted. Always returns
     /// [`WorkerError::ShardPanicked`] describing the crash it caused
     /// (or [`WorkerError::NotRunning`] outside multi-queue mode).
     pub fn inject_worker_panic(
@@ -538,10 +547,10 @@ impl Host {
         msg: &str,
         now: Time,
     ) -> Result<(), WorkerError> {
-        let Some(pool) = self.workers.as_mut() else {
+        if !self.workers.threaded() {
             return Err(WorkerError::NotRunning);
-        };
-        pool.inject_panic(shard, msg, None);
+        }
+        self.workers.inject_panic(shard, msg, None);
         self.absorb_worker_crashes(now);
         Err(WorkerError::ShardPanicked {
             shard,
@@ -562,42 +571,35 @@ impl Host {
         after_frames: usize,
         msg: &str,
     ) -> Result<(), WorkerError> {
-        let Some(pool) = self.workers.as_mut() else {
+        if !self.workers.threaded() {
             return Err(WorkerError::NotRunning);
-        };
-        pool.inject_panic(shard, msg, Some(after_frames));
+        }
+        self.workers.inject_panic(shard, msg, Some(after_frames));
         Ok(())
     }
 
-    /// Total worker-shard restarts performed by the supervisor.
+    /// Shard restarts the supervisor performed since worker mode last
+    /// started.
     pub fn worker_restarts(&self) -> u64 {
-        self.workers.as_ref().map_or(0, |p| p.total_restarts())
-    }
-
-    /// Which shard owns a connection with this RX tuple under the live
-    /// RSS indirection table (modulo the worker count, so a policy that
-    /// shrinks the queue set cannot strand a ring without an owner).
-    fn shard_for_tuple(&self, tuple: &FiveTuple, n: usize) -> usize {
-        usize::from(self.nic.rss().queue_for(pkt::meta::flow_hash_of(tuple))) % n
+        self.workers.total_restarts()
     }
 
     /// Re-shards ring ownership after a policy transaction may have
-    /// changed the RSS steering. Runs under the quiesce barrier the
-    /// caller already took; a commit that left the table unchanged
-    /// reshuffles rings between shards without losing any state.
+    /// changed the RSS steering: every ring pair whose connection now
+    /// steers to another queue moves to that queue's shard. Runs under
+    /// the quiesce barrier the caller already took.
     fn rebalance_workers(&mut self) {
-        let Some(pool) = self.workers.take() else {
+        let n = self.workers.num_shards();
+        if n == 1 {
             return;
-        };
-        let n = pool.num_workers();
-        let assign: HashMap<RingKey, usize> = self
-            .conns
-            .values()
-            .map(|c| (c.ring_key, self.shard_for_tuple(&c.tuple, n)))
-            .collect();
-        let mut pool = pool;
-        pool.rebalance(&assign);
-        self.workers = Some(pool);
+        }
+        for c in self.conns.values_mut() {
+            let shard = shard_for_tuple(&self.nic, &c.tuple, n);
+            if shard != c.shard {
+                self.workers.move_ring(c.ring_key, c.shard, shard);
+                c.shard = shard;
+            }
+        }
     }
 
     /// Returns host counters.
@@ -605,16 +607,22 @@ impl Host {
         self.stats
     }
 
-    /// The host-side LLC (single-queue traffic; worker shards own
-    /// private partitions instead).
-    pub fn llc(&self) -> &Llc {
-        &self.llc
+    /// Cumulative LLC traffic of the caller-run shard, which holds the
+    /// whole cache (the `llc.*` metrics). Worker shards' traffic is in
+    /// [`Host::shard_llc_stats`] instead.
+    pub fn llc_stats(&self) -> LlcStats {
+        let mut s = self.caller_llc;
+        if !self.workers.threaded() {
+            s.absorb(&self.workers.live_llc_stats(0));
+        }
+        s
     }
 
-    /// Mutable access to the host-side LLC (benchmarks model application
-    /// compute phases by sweeping working sets through it).
-    pub fn llc_mut(&mut self) -> &mut Llc {
-        &mut self.llc
+    /// Runs `f` on the LLC model of shard 0 — the whole cache inline,
+    /// shard 0's partition in worker mode. Benchmarks model application
+    /// compute phases by sweeping working sets through it.
+    pub fn with_llc<R>(&mut self, f: impl FnOnce(&mut Llc) -> R) -> R {
+        self.workers.with_llc(0, f)
     }
 
     /// Cumulative LLC traffic of worker shard `i`, as merged at quiesce
@@ -635,10 +643,7 @@ impl Host {
     pub fn start_trace(&mut self) {
         self.quiesce();
         self.tel.clear();
-        self.ring_frame_ids.clear();
-        if let Some(pool) = self.workers.as_mut() {
-            pool.clear_trace();
-        }
+        self.workers.clear_trace();
         self.tel.set_enabled(true);
         self.nic.mark_telemetry_baseline();
         self.tel_baseline = self.stats;
@@ -672,17 +677,16 @@ impl Host {
         Ok(())
     }
 
-    /// A collection spill point: takes the quiesce barrier (so worker
-    /// shard events buffered since the last barrier reach the hub and
-    /// therefore the file), writes a ledger snapshot when the profile
-    /// asked for one, and flushes the file. Bounds collection memory to
-    /// the inter-spill event volume. No-op when no collection is active.
+    /// A collection spill point: takes the quiesce barrier, writes a
+    /// ledger snapshot when the profile asked for one, and flushes the
+    /// file. Bounds collection memory to the inter-spill event volume.
+    /// No-op when no collection is active.
     pub fn spill_trace(&mut self) -> Result<(), FileError> {
         self.quiesce();
         self.tel.spill_sink()
     }
 
-    /// Stops a collection: merges outstanding worker events, writes the
+    /// Stops a collection: takes the quiesce barrier, writes the
     /// final ledger snapshot and fin record, detaches the sink, and
     /// disables tracing. Returns writer statistics (`None` when no
     /// collection was active). The in-memory buffer remains queryable,
@@ -706,35 +710,25 @@ impl Host {
     /// a second, structurally different account of the same dataplane,
     /// so a bug has to corrupt both in the same way to hide.
     ///
-    /// In multi-queue mode the audit first takes the quiesce barrier, so
-    /// shard-local counters and events are merged before any ledger is
-    /// compared — a frame resident in shard *k*'s rings counts toward
-    /// occupancy exactly like one in a host-owned ring.
+    /// The audit first takes the quiesce barrier, so a frame resident in
+    /// any shard's rings counts toward occupancy.
     pub fn audit(&mut self) -> Vec<String> {
-        let shard_queued = self.quiesce();
+        let queued = self.quiesce();
         let mut violations = self.nic.audit();
         // Third ledger: NIC-resident policy state vs the kernel store.
         violations.extend(self.ctrl.audit(&self.nic, self.nat.as_ref()));
         // Way conservation: the per-shard partitions must tile the donor
         // cache exactly (no way lost, none double-owned).
-        if let Some(pool) = self.workers.as_ref() {
-            violations.extend(pool.plan().audit());
-        }
+        violations.extend(self.workers.plan().audit());
         // Arena conservation: every live slot must be reachable from some
-        // resident handle — host rings, shard rings (summed at the quiesce
-        // barrier above), kernel socket queues, or the TX retry buffer. A
-        // live count above residency means a leaked (unreachable) slot.
+        // resident handle — shard rings, kernel socket queues, or the TX
+        // retry buffer. A live count above residency means a leaked
+        // (unreachable) slot.
         // Residency can legitimately exceed liveness: many descriptors may
         // share one slot (taps, redeliveries), and heap-backed frames also
         // occupy descriptors.
         let live = self.arena.live() as u64;
-        let resident = self
-            .rings
-            .values()
-            .flat_map(|(rx, tx)| rx.iter_descs().chain(tx.iter_descs()))
-            .filter(|p| p.is_arena())
-            .count() as u64
-            + self.shard_arena_resident
+        let resident = self.workers.arena_resident()
             + self.stack.arena_resident() as u64
             + self.tx_retry.iter().filter(|(_, p)| p.is_arena()).count() as u64;
         if live > resident {
@@ -768,12 +762,6 @@ impl Host {
             ring_full,
             d(self.stats.ring_drops, self.tel_baseline.ring_drops),
         );
-        let queued: u64 = self
-            .ring_frame_ids
-            .values()
-            .map(|q| q.len() as u64)
-            .sum::<u64>()
-            + shard_queued;
         check(
             "ring occupancy",
             ring_enq_pass.saturating_sub(self.tel.stage_count(Stage::RingDequeue)),
@@ -816,7 +804,7 @@ impl Host {
         reg.set_gauge("host.kernel_cpu_us", self.kernel_cpu.as_us_f64());
         reg.set_counter("host.arena_live", self.arena.live() as u64);
         reg.set_counter("host.arena_slots", self.arena.slots() as u64);
-        let llc = self.llc.stats();
+        let llc = self.llc_stats();
         reg.set_counter("llc.ddio_evictions", llc.ddio_evictions);
         reg.set_counter("llc.dma_hits", llc.dma_hits);
         reg.set_counter("llc.dma_misses", llc.dma_misses);
@@ -1108,39 +1096,6 @@ impl Host {
         &self.ctrl.store().reservations
     }
 
-    /// Installs a port reservation: recorded in the control plane (so
-    /// `connect` refuses violators up front) *and* lowered onto the NIC's
-    /// ingress and egress filters (so even a buggy or malicious bypass
-    /// user cannot violate it in the dataplane).
-    #[deprecated(note = "transition shim: use Host::update_policy")]
-    pub fn reserve_port(&mut self, r: PortReservation, now: Time) -> Result<(), ConnectError> {
-        self.update_policy(now, |p| p.reservations.push(r))
-            .map(|_| ())
-            .map_err(|e| ConnectError::NicResources(e.to_string()))
-    }
-
-    /// Installs a per-user WFQ shaping policy: compiles the classifier to
-    /// an overlay program, loads it, fills its maps, and configures the
-    /// NIC scheduler weights.
-    #[deprecated(note = "transition shim: use Host::update_policy")]
-    pub fn install_shaping(
-        &mut self,
-        policy: ShapingPolicy,
-        now: Time,
-    ) -> Result<(), ConnectError> {
-        self.update_policy(now, |p| p.shaping = Some(policy))
-            .map(|_| ())
-            .map_err(|e| ConnectError::NicResources(e.to_string()))
-    }
-
-    /// Enables the NIC capture tap (privileged; `ksniff`).
-    #[deprecated(note = "transition shim: use Host::update_policy")]
-    pub fn enable_sniffer(&mut self, filter: SnifferFilter, now: Time) -> Result<(), ConnectError> {
-        self.update_policy(now, |p| p.sniffer = Some(filter))
-            .map(|_| ())
-            .map_err(|e| ConnectError::NicResources(e.to_string()))
-    }
-
     /// Opens a connection for `pid` on `local_port` to
     /// `(remote_ip, remote_port)`.
     ///
@@ -1199,29 +1154,18 @@ impl Host {
         } else {
             RingKey::Conn(id)
         };
-        let slots = self.cfg.ring_slots;
-        let slot_bytes = self.cfg.ring_slot_bytes;
-        if self.workers.is_some() {
-            // Multi-queue mode: the ring pair is born inside the shard
-            // whose RSS queue the connection's flows steer to.
-            let pool = self.workers.as_ref().expect("checked above");
-            if pool.owner_of(ring_key).is_none() {
-                let n = pool.num_workers();
-                let shard = self.shard_for_tuple(&tuple, n);
-                let rx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
-                let tx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
-                self.workers.as_mut().expect("checked above").install(
-                    shard,
-                    ring_key,
-                    rx,
-                    tx,
-                    VecDeque::new(),
-                );
-            }
-        } else if !self.rings.contains_key(&ring_key) {
-            let rx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
-            let tx = PktRing::new(self.alloc_ring_addr(), slots, slot_bytes);
-            self.rings.insert(ring_key, (rx, tx));
+        // The ring pair is born inside the shard whose RSS queue the
+        // connection's flows steer to.
+        let shard = shard_for_tuple(&self.nic, &tuple, self.workers.num_shards());
+        if !self.workers.has_ring(shard, ring_key) {
+            let (slots, slot_bytes) = (self.cfg.ring_slots, self.cfg.ring_slot_bytes);
+            let entry = RingEntry {
+                key: ring_key,
+                rx: PktRing::new(self.alloc_ring_addr(), slots, slot_bytes),
+                tx: PktRing::new(self.alloc_ring_addr(), slots, slot_bytes),
+                fids: VecDeque::new(),
+            };
+            self.workers.install(shard, entry);
         }
         self.conns.insert(
             id,
@@ -1232,6 +1176,7 @@ impl Host {
                 tuple,
                 notify,
                 ring_key,
+                shard,
             },
         );
         // Connection setup costs kernel time (syscall + NIC programming).
@@ -1306,12 +1251,7 @@ impl Host {
         };
         let _ = self.nic.close_connection(id);
         if let RingKey::Conn(_) = conn.ring_key {
-            if let Some(pool) = self.workers.as_mut() {
-                pool.close(conn.ring_key);
-            } else {
-                self.rings.remove(&conn.ring_key);
-                self.ring_frame_ids.remove(&conn.ring_key);
-            }
+            self.workers.close(conn.shard, conn.ring_key);
         }
         true
     }
@@ -1433,25 +1373,16 @@ impl Host {
 
     /// A frame arrives from the wire at `now`.
     pub fn deliver_from_wire(&mut self, packet: &Packet, now: Time) -> DeliveryReport {
-        self.deliver_frame(packet.clone(), now)
+        self.ingress(std::slice::from_ref(packet), now)
+            .pop()
+            .expect("one frame in, one report out")
     }
 
     /// [`Host::deliver_from_wire`] with frame ownership handed over — the
     /// NIC presenting an already-DMA'd buffer rather than bytes to copy.
-    /// On the fast path the frame handle moves straight into the RX ring
-    /// descriptor with no refcount traffic at all; harnesses that own
-    /// their frames (the wall-clock benches, the chaos driver) should
-    /// prefer this entry point.
+    /// The ingress half of [`Host::pump`] for one frame.
     pub fn deliver_frame(&mut self, packet: Packet, now: Time) -> DeliveryReport {
-        self.maybe_reconcile(now);
-        let rx = self.nic.rx(&packet, now);
-        if self.workers.is_some() {
-            return self
-                .finish_batch_workers(std::slice::from_ref(&packet), vec![rx], now)
-                .pop()
-                .expect("one frame in, one report out");
-        }
-        self.finish_delivery(packet, rx, now)
+        self.deliver_from_wire(&packet, now)
     }
 
     /// Delivers a burst of frames arriving together at `now` through the
@@ -1464,136 +1395,166 @@ impl Host {
         packets: &[Packet],
         now: Time,
     ) -> (Vec<DeliveryReport>, Vec<TxDeparture>) {
-        self.maybe_reconcile(now);
-        let rxs = self.nic.rx_batch(packets, now);
-        let deliveries = if self.workers.is_some() {
-            self.finish_batch_workers(packets, rxs, now)
-        } else {
-            packets
-                .iter()
-                .zip(rxs)
-                .map(|(p, rx)| self.finish_delivery(p.clone(), rx, now))
-                .collect()
-        };
+        let deliveries = self.ingress(packets, now);
         let departures = self.pump_tx(now);
         (deliveries, departures)
     }
 
-    /// The multi-queue half of ingress: fast-path frames fan out to the
-    /// shard owning their RSS queue (shards run concurrently), while
-    /// listener, slow-path, ARP, and drop verdicts stay on this thread.
-    /// Replies reassemble in arrival order and wakeups are applied in
-    /// arrival order, so the result is deterministic and — for one
-    /// worker — byte-identical to [`Host::finish_delivery`] per frame.
-    fn finish_batch_workers(
-        &mut self,
-        packets: &[Packet],
-        rxs: Vec<nicsim::RxResult>,
-        now: Time,
-    ) -> Vec<DeliveryReport> {
-        let n = self.num_workers();
+    /// The ingress half of [`Host::pump`]: NIC RX for the whole burst,
+    /// then every verdict in arrival order. Fast-path frames go to the
+    /// shard holding their ring ([`Host::complete_fast`] applies the
+    /// outcome); listener, slow-path, ARP, demoted, and drop verdicts
+    /// stay on this thread ([`Host::finish_delivery`]).
+    ///
+    /// The caller-run shard delivers each frame as it is classified, so
+    /// a frame's demotion sees every earlier frame's ring pressure. A
+    /// threaded pool runs the burst's fast-path frames as one batch
+    /// across the shards (concurrently), and the outcomes are applied in
+    /// arrival order afterwards.
+    fn ingress(&mut self, packets: &[Packet], now: Time) -> Vec<DeliveryReport> {
+        self.maybe_reconcile(now);
+        let rxs = self.nic.rx_batch(packets, now);
+        let threaded = self.workers.threaded();
+        let n = self.workers.num_shards();
         let trace = self.tel.is_enabled();
-        let generation = self.tel.generation();
-        let mut reports: Vec<DeliveryReport> = Vec::with_capacity(packets.len());
-        // conn + pending wake for each shard-dispatched frame, by index.
-        let mut pending: Vec<Option<(ConnId, Option<Pid>, Time)>> = vec![None; packets.len()];
+        let mut reports = Vec::with_capacity(packets.len());
+        let mut batch: Vec<(Staged, Option<ShardOutcome>)> = Vec::new();
         for (idx, (packet, rx)) in packets.iter().zip(rxs).enumerate() {
-            let fast_conn = match rx.disposition {
-                RxDisposition::Deliver { conn, .. }
-                    if !self.listeners.contains_key(&conn)
-                        && self.conns.get(&conn).is_some_and(|c| !self.demote_now(c)) =>
-                {
-                    Some(conn)
-                }
+            let fast = match rx.disposition {
+                RxDisposition::Deliver { conn, .. } if !self.listeners.contains_key(&conn) => self
+                    .conns
+                    .get(&conn)
+                    .filter(|c| !self.demote_now(c))
+                    .map(|c| (conn, c.pid, c.ring_key)),
                 _ => None,
             };
-            let Some(conn) = fast_conn else {
-                // Listener, stale-connection, slow-path, ARP, demoted,
-                // and drop verdicts never touch a shard; handle them
-                // inline.
-                reports.push(self.finish_delivery(packet.clone(), rx, now));
+            let Some((conn, pid, key)) = fast else {
+                reports.push(self.finish_delivery(packet, rx, now));
                 continue;
             };
-            let c = &self.conns[&conn];
-            let shard = usize::from(rx.meta.map_or(0, |m| m.queue)) % n;
-            let job = DeliverJob {
+            let meta = rx.meta.as_ref();
+            let s = Staged {
                 idx,
-                key: c.ring_key,
-                len: packet.len(),
-                pkt: packet.clone(),
-                fid: rx.meta.map_or(0, |m| m.frame_id),
-                tuple: rx.meta.and_then(|m| m.tuple),
-                owner: if trace { self.owner_of(c.pid) } else { None },
+                shard: usize::from(meta.map_or(0, |m| m.queue)) % n,
+                conn,
+                pid,
+                interrupt: rx.interrupt,
                 ready_at: rx.ready_at,
+                fid: meta.map_or(0, |m| m.frame_id),
+                tuple: meta.and_then(|m| m.tuple),
+            };
+            let job = DeliverJob {
+                slot: batch.len(),
+                key,
+                pkt: packet.clone(),
+                fid: s.fid,
                 cold: rx.cold,
                 trace,
-                generation,
             };
-            let wake = if rx.interrupt { Some(c.pid) } else { None };
-            pending[idx] = Some((conn, wake, rx.ready_at));
-            self.workers
-                .as_mut()
-                .expect("worker mode active")
-                .stage(shard, job);
-            reports.push(DeliveryReport {
-                outcome: DeliveryOutcome::Dropped, // overwritten by the reply
+            let mut report = DeliveryReport {
+                outcome: DeliveryOutcome::Dropped, // set from the shard outcome
                 mem_cost: Dur::ZERO,
                 nic_latency: rx.latency,
                 kernel_cpu: Dur::ZERO,
                 woke: None,
-            });
-        }
-        let mut outcomes = vec![None; packets.len()];
-        let pool = self.workers.as_mut().expect("worker mode active");
-        pool.deliver(&mut outcomes);
-        // Arrival order is the contract.
-        for (idx, slot) in pending.into_iter().enumerate() {
-            let Some((conn, wake, ready_at)) = slot else {
-                continue;
             };
-            let report = &mut reports[idx];
-            match outcomes[idx].expect("every dispatched frame is answered") {
-                ShardOutcome::Fast(cost) => {
-                    report.outcome = DeliveryOutcome::FastPath(conn);
-                    report.mem_cost = cost;
-                    self.note_ring_pressure(false, ready_at);
-                    if let Some(pid) = wake {
-                        if self.sched.wake(pid, ready_at, &mut self.procs).is_some() {
-                            report.woke = Some(pid);
-                        }
-                    }
-                }
-                ShardOutcome::RingFull => {
-                    report.outcome = DeliveryOutcome::RingFull(conn);
-                    self.note_ring_pressure(true, ready_at);
-                }
-                ShardOutcome::RingMissing => {
-                    report.outcome = DeliveryOutcome::SlowPath;
-                }
-                ShardOutcome::Crashed => {
-                    // The owning shard died before answering: reroute the
-                    // frame through the software slow path so it is
-                    // delivered and accounted rather than silently lost.
-                    let (_, cost) = self.stack_rx(&packets[idx], None, now);
-                    self.kernel_cpu += cost;
-                    report.kernel_cpu = cost;
-                    report.outcome = DeliveryOutcome::SlowPath;
-                    self.stats.slowpath += 1;
-                    self.stats.worker_rerouted += 1;
-                }
+            if threaded {
+                self.workers.stage(s.shard, job);
+                batch.push((s, None));
+            } else {
+                let outcome = self.workers.deliver_now(s.shard, job);
+                self.complete_fast(&s, outcome, &mut report, packet, now);
+            }
+            reports.push(report);
+        }
+        if !batch.is_empty() {
+            self.workers.deliver(|slot, o| batch[slot].1 = Some(o));
+            for (s, outcome) in batch {
+                let outcome = outcome.expect("every staged frame is answered");
+                self.complete_fast(&s, outcome, &mut reports[s.idx], &packets[s.idx], now);
             }
         }
         self.absorb_worker_crashes(now);
         reports
     }
 
-    /// The host-side half of ingress: routes one NIC verdict to rings,
-    /// the slow path, or drop accounting, reusing the parse-once
-    /// descriptor the NIC handed back (`rx.meta`) — the host never
-    /// re-parses frame bytes.
+    /// Applies one fast-path frame's shard outcome: counters, ring
+    /// pressure, worker-core busy time, the `RingEnqueue` trace event,
+    /// and the wakeup. A pump never spans a commit, so the hub's
+    /// generation stamp is the one in force when the frame was handled.
+    fn complete_fast(
+        &mut self,
+        s: &Staged,
+        outcome: ShardOutcome,
+        report: &mut DeliveryReport,
+        packet: &Packet,
+        now: Time,
+    ) {
+        match outcome {
+            ShardOutcome::Fast(cost) => {
+                report.outcome = DeliveryOutcome::FastPath(s.conn);
+                report.mem_cost = cost;
+                self.stats.fast_delivered += 1;
+                if self.workers.threaded() {
+                    self.sched.charge_core_busy(s.shard, cost);
+                }
+                self.note_ring_pressure(false, now);
+                self.emit_ring_enqueue(s, packet, TraceVerdict::Pass);
+                let woke = s.interrupt
+                    && self
+                        .sched
+                        .wake(s.pid, s.ready_at, &mut self.procs)
+                        .is_some();
+                if woke {
+                    report.woke = Some(s.pid);
+                }
+            }
+            ShardOutcome::RingFull => {
+                report.outcome = DeliveryOutcome::RingFull(s.conn);
+                self.stats.ring_drops += 1;
+                self.note_ring_pressure(true, now);
+                let verdict = TraceVerdict::Drop(DropCause::RingFull);
+                self.emit_ring_enqueue(s, packet, verdict);
+            }
+            ShardOutcome::RingMissing => {
+                // The connection record outlived its rings (torn-down
+                // state mid-race): punt to the slow path.
+                self.stats.ring_missing += 1;
+                report.outcome = DeliveryOutcome::SlowPath;
+            }
+            ShardOutcome::Crashed => {
+                // The owning shard died before answering: reroute the
+                // frame through the software slow path so it is
+                // delivered and accounted rather than silently lost.
+                let (_, cost) = self.stack_rx(packet, None, now);
+                self.kernel_cpu += cost;
+                report.kernel_cpu = cost;
+                report.outcome = DeliveryOutcome::SlowPath;
+                self.stats.slowpath += 1;
+                self.stats.worker_rerouted += 1;
+            }
+        }
+    }
+    fn emit_ring_enqueue(&self, s: &Staged, packet: &Packet, verdict: TraceVerdict) {
+        self.tel.emit(|| TraceEvent {
+            frame_id: s.fid,
+            at: s.ready_at,
+            stage: Stage::RingEnqueue,
+            verdict,
+            tuple: s.tuple,
+            len: packet.len() as u32,
+            owner: self.owner_of(s.pid),
+            generation: 0,
+        });
+    }
+
+    /// The host-side half of ingress for every verdict that does not
+    /// reach a ring — listener, stale-connection, demoted, slow-path,
+    /// ARP, and drop — reusing the parse-once descriptor the NIC handed
+    /// back (`rx.meta`): the host never re-parses frame bytes.
     fn finish_delivery(
         &mut self,
-        packet: Packet,
+        packet: &Packet,
         rx: nicsim::RxResult,
         now: Time,
     ) -> DeliveryReport {
@@ -1615,111 +1576,35 @@ impl Host {
                             .or_default()
                             .push_back(tuple);
                     }
-                    let (_, cost) = self.stack_rx(&packet, rx.meta.as_ref(), now);
+                    let (_, cost) = self.stack_rx(packet, rx.meta.as_ref(), now);
                     self.kernel_cpu += cost;
                     report.kernel_cpu = cost;
                     report.outcome = DeliveryOutcome::SlowPath;
                     self.stats.slowpath += 1;
                     return report;
                 }
-                let Some(c) = self.conns.get(&conn) else {
+                if !self.conns.contains_key(&conn) {
                     // NIC knows a connection the host forgot: treat as
                     // slow path (stale flow entry).
                     report.outcome = DeliveryOutcome::SlowPath;
                     return report;
-                };
-                let pid = c.pid;
-                let key = c.ring_key;
-                let demote = self.demote_now(c);
-                if demote {
-                    // Degraded mode: this low-priority flow yields the
-                    // fast path so high-priority traffic keeps the
-                    // rings. The frame is handled by the kernel stack —
-                    // slower, but delivered and accounted.
-                    let (outcome, cost) = self.stack_rx(&packet, rx.meta.as_ref(), now);
-                    self.stack.note_degraded_rx();
-                    self.kernel_cpu += cost;
-                    report.kernel_cpu = cost;
-                    report.outcome = DeliveryOutcome::SlowPath;
-                    self.stats.slowpath += 1;
-                    self.stats.degraded_slowpath += 1;
-                    // Demoted deliveries count as unpressured window
-                    // entries so a drained system can promote back.
-                    self.note_ring_pressure(false, now);
-                    if let RxOutcome::Delivered { pid, wake: true } = outcome {
-                        if self.sched.wake(pid, now + cost, &mut self.procs).is_some() {
-                            report.woke = Some(pid);
-                        }
-                    }
-                    return report;
                 }
-                let mem = self.cfg.mem.clone();
-                let Some((rx_ring, _)) = self.rings.get_mut(&key) else {
-                    // The connection record outlived its rings (torn-down
-                    // state mid-race). Punt to the slow path instead of
-                    // panicking on the hot path.
-                    self.stats.ring_missing += 1;
-                    report.outcome = DeliveryOutcome::SlowPath;
-                    return report;
-                };
-                let len = packet.len() as u32;
-                // Cold-tier flows DMA with DDIO bypass: a demoted flow's
-                // ring traffic must not evict the DDIO lines hot flows
-                // depend on (the §5 cliff mechanism).
-                // The descriptor *is* the frame handle: producing into the
-                // ring bumps the frame's refcount instead of copying bytes.
-                let plen = packet.len();
-                let produced = if rx.cold {
-                    rx_ring.produce_dma_bypass_with(packet, plen, &mut self.llc, &mem)
-                } else {
-                    rx_ring.produce_dma_with(packet, plen, &mut self.llc, &mem)
-                };
-                match produced {
-                    Ok(cost) => {
-                        report.mem_cost = cost;
-                        report.outcome = DeliveryOutcome::FastPath(conn);
-                        self.stats.fast_delivered += 1;
-                        self.note_ring_pressure(false, now);
-                        if self.tel.is_enabled() {
-                            // Meta fields are only read for trace events, so
-                            // the (wide) meta copy stays behind the gate.
-                            let fid = rx.meta.as_ref().map_or(0, |m| m.frame_id);
-                            let tuple = rx.meta.as_ref().and_then(|m| m.tuple);
-                            self.ring_frame_ids.entry(key).or_default().push_back(fid);
-                            self.tel.emit(|| TraceEvent {
-                                frame_id: fid,
-                                at: rx.ready_at,
-                                stage: Stage::RingEnqueue,
-                                verdict: TraceVerdict::Pass,
-                                tuple,
-                                len,
-                                owner: self.owner_of(pid),
-                                generation: 0,
-                            });
-                        }
-                    }
-                    Err(_) => {
-                        report.outcome = DeliveryOutcome::RingFull(conn);
-                        self.stats.ring_drops += 1;
-                        self.note_ring_pressure(true, now);
-                        let fid = rx.meta.as_ref().map_or(0, |m| m.frame_id);
-                        let tuple = rx.meta.as_ref().and_then(|m| m.tuple);
-                        self.tel.emit(|| TraceEvent {
-                            frame_id: fid,
-                            at: rx.ready_at,
-                            stage: Stage::RingEnqueue,
-                            verdict: TraceVerdict::Drop(DropCause::RingFull),
-                            tuple,
-                            len,
-                            owner: self.owner_of(pid),
-                            generation: 0,
-                        });
-                        return report;
-                    }
-                }
-                if rx.interrupt {
-                    if let Some(resumed) = self.sched.wake(pid, rx.ready_at, &mut self.procs) {
-                        let _ = resumed;
+                // Degraded mode: this low-priority flow yields the fast
+                // path so high-priority traffic keeps the rings. The
+                // frame is handled by the kernel stack — slower, but
+                // delivered and accounted.
+                let (outcome, cost) = self.stack_rx(packet, rx.meta.as_ref(), now);
+                self.stack.note_degraded_rx();
+                self.kernel_cpu += cost;
+                report.kernel_cpu = cost;
+                report.outcome = DeliveryOutcome::SlowPath;
+                self.stats.slowpath += 1;
+                self.stats.degraded_slowpath += 1;
+                // Demoted deliveries count as unpressured window entries
+                // so a drained system can promote back.
+                self.note_ring_pressure(false, now);
+                if let RxOutcome::Delivered { pid, wake: true } = outcome {
+                    if self.sched.wake(pid, now + cost, &mut self.procs).is_some() {
                         report.woke = Some(pid);
                     }
                 }
@@ -1734,12 +1619,12 @@ impl Host {
                     report.kernel_cpu = cost;
                     report.outcome = DeliveryOutcome::SlowPath;
                     self.stats.slowpath += 1;
-                    if let Some(reply) = self.arp.handle_meta(&packet, &meta, now) {
+                    if let Some(reply) = self.arp.handle_meta(packet, &meta, now) {
                         let _ = self.nic.tx_enqueue_kernel(&reply, now);
                     }
                     return report;
                 }
-                let (outcome, cost) = self.stack_rx(&packet, rx.meta.as_ref(), now);
+                let (outcome, cost) = self.stack_rx(packet, rx.meta.as_ref(), now);
                 self.kernel_cpu += cost;
                 report.kernel_cpu = cost;
                 report.outcome = DeliveryOutcome::SlowPath;
@@ -1765,125 +1650,22 @@ impl Host {
     ///
     /// Pure memory operations — no kernel involvement (§4.3: "the
     /// application can directly send and receive data by merely accessing
-    /// memory").
+    /// memory"). The dequeue and its LLC traffic run on the shard holding
+    /// the ring, under its lock, on this thread; doorbells, scheduling,
+    /// and trace emission stay on the host.
     pub fn app_recv(&mut self, id: ConnId, now: Time, blocking: bool) -> RecvResult {
+        let nothing = RecvResult {
+            len: None,
+            pkt: None,
+            cpu: Dur::ZERO,
+            blocked: false,
+        };
         let Some(conn) = self.conns.get(&id) else {
-            return RecvResult {
-                len: None,
-                pkt: None,
-                cpu: Dur::ZERO,
-                blocked: false,
-            };
+            return nothing;
         };
-        let pid = conn.pid;
-        let notify = conn.notify;
-        let key = conn.ring_key;
-        if self.workers.is_some() {
-            return self.app_recv_workers(pid, notify, key, now, blocking);
-        }
-        let mem = self.cfg.mem.clone();
-        let Some((rx_ring, _)) = self.rings.get_mut(&key) else {
-            // Rings already torn down: nothing to receive.
-            self.stats.ring_missing += 1;
-            return RecvResult {
-                len: None,
-                pkt: None,
-                cpu: Dur::ZERO,
-                blocked: false,
-            };
-        };
-        match rx_ring.consume_cpu_desc(&mut self.llc, &mem) {
-            Some((pkt, len, cost)) => {
-                let cpu = cost + self.doorbell_cost();
-                self.sched.charge_busy(pid, cpu);
-                if self.tel.is_enabled() {
-                    let fid = self
-                        .ring_frame_ids
-                        .get_mut(&key)
-                        .and_then(|q| q.pop_front())
-                        .unwrap_or(0);
-                    let owner = self.owner_of(pid);
-                    self.tel.emit(|| TraceEvent {
-                        frame_id: fid,
-                        at: now,
-                        stage: Stage::RingDequeue,
-                        verdict: TraceVerdict::Pass,
-                        tuple: None,
-                        len: len as u32,
-                        owner: None,
-                        generation: 0,
-                    });
-                    self.tel.emit(|| TraceEvent {
-                        frame_id: fid,
-                        at: now,
-                        stage: Stage::AppDeliver,
-                        verdict: TraceVerdict::Pass,
-                        tuple: None,
-                        len: len as u32,
-                        owner,
-                        generation: 0,
-                    });
-                }
-                RecvResult {
-                    len: Some(len),
-                    pkt: Some(pkt),
-                    cpu,
-                    blocked: false,
-                }
-            }
-            None => {
-                // Check the head pointer: one cache read.
-                let cpu = mem.llc_hit;
-                let mut blocked = false;
-                if blocking && notify {
-                    self.nic.arm_interrupt(pid.0);
-                    blocked = self.sched.block(pid, now, &mut self.procs);
-                } else {
-                    self.sched.charge_polling(pid, cpu);
-                }
-                RecvResult {
-                    len: None,
-                    pkt: None,
-                    cpu,
-                    blocked,
-                }
-            }
-        }
-    }
-
-    /// [`Host::app_recv`] with the ring in a worker shard: the dequeue
-    /// (and its LLC traffic) runs on the owning shard, under its lock, on
-    /// this thread; doorbells, scheduling, and trace emission stay on the
-    /// host. Costs and events match the single-queue path exactly.
-    fn app_recv_workers(
-        &mut self,
-        pid: Pid,
-        notify: bool,
-        key: RingKey,
-        now: Time,
-        blocking: bool,
-    ) -> RecvResult {
+        let (pid, notify, key, shard) = (conn.pid, conn.notify, conn.ring_key, conn.shard);
         let trace = self.tel.is_enabled();
-        let owner = self
-            .workers
-            .as_ref()
-            .expect("worker mode active")
-            .owner_of(key);
-        let Some(shard) = owner else {
-            self.stats.ring_missing += 1;
-            return RecvResult {
-                len: None,
-                pkt: None,
-                cpu: Dur::ZERO,
-                blocked: false,
-            };
-        };
-        let reply = self
-            .workers
-            .as_mut()
-            .expect("worker mode active")
-            .recv(shard, key, trace);
-        match reply {
+        match self.workers.recv(shard, key, trace) {
             RecvReply::Data {
                 pkt,
                 len,
@@ -1923,6 +1705,7 @@ impl Host {
                 }
             }
             RecvReply::Empty => {
+                // Check the head pointer: one cache read.
                 let cpu = self.cfg.mem.llc_hit;
                 let mut blocked = false;
                 if blocking && notify {
@@ -1939,17 +1722,12 @@ impl Host {
                 }
             }
             RecvReply::Missing => {
+                // Rings already torn down: nothing to receive.
                 self.stats.ring_missing += 1;
-                RecvResult {
-                    len: None,
-                    pkt: None,
-                    cpu: Dur::ZERO,
-                    blocked: false,
-                }
+                nothing
             }
         }
     }
-
     /// POSIX-compatibility receive: like [`Host::app_recv`] but models
     /// `recv(2)` semantics where the payload is *copied* out of the ring
     /// into a caller-supplied buffer. §4.2: the Norman library "provides
@@ -1970,45 +1748,29 @@ impl Host {
 
     /// The application sends a frame on a connection: write payload into
     /// the TX ring (CPU stores), ring the doorbell (MMIO), NIC DMA-reads
-    /// and runs egress policy, then schedules.
+    /// and runs egress policy, then schedules. The payload store and the
+    /// DMA read (and their LLC traffic) run on the shard holding the
+    /// ring; doorbells, TX scheduling, and retry buffering stay on the
+    /// host.
     pub fn app_send(&mut self, id: ConnId, packet: &Packet, now: Time) -> SendResult {
+        let refused = |cpu| SendResult {
+            queued: false,
+            deferred: false,
+            cpu,
+        };
         let Some(conn) = self.conns.get(&id) else {
-            return SendResult {
-                queued: false,
-                deferred: false,
-                cpu: Dur::ZERO,
-            };
+            return refused(Dur::ZERO);
         };
-        let pid = conn.pid;
-        let key = conn.ring_key;
-        if self.workers.is_some() {
-            return self.app_send_workers(id, pid, key, packet, now);
-        }
-        let mem = self.cfg.mem.clone();
-        let Some((_, tx_ring)) = self.rings.get_mut(&key) else {
-            self.stats.ring_missing += 1;
-            return SendResult {
-                queued: false,
-                deferred: false,
-                cpu: Dur::ZERO,
-            };
+        let (pid, key, shard) = (conn.pid, conn.ring_key, conn.shard);
+        let produce = match self.workers.send(shard, key, packet) {
+            SendReply::Produced(cost) => cost,
+            SendReply::Full => return refused(self.cfg.mem.llc_hit),
+            SendReply::Missing => {
+                self.stats.ring_missing += 1;
+                return refused(Dur::ZERO);
+            }
         };
-        let produce =
-            match tx_ring.produce_cpu_with(packet.clone(), packet.len(), &mut self.llc, &mem) {
-                Ok(cost) => cost,
-                Err(_) => {
-                    return SendResult {
-                        queued: false,
-                        deferred: false,
-                        cpu: mem.llc_hit,
-                    }
-                }
-            };
         let doorbell = self.doorbell_cost();
-        // NIC side: DMA-read the frame out of the ring.
-        if let Some((_, tx_ring)) = self.rings.get_mut(&key) {
-            let _ = tx_ring.consume_dma(&mut self.llc, &mem);
-        }
         let (queued, deferred) = self.offer_tx(id, packet, now);
         let cpu = produce + doorbell;
         self.sched.charge_busy(pid, cpu);
@@ -2018,7 +1780,6 @@ impl Host {
             cpu,
         }
     }
-
     /// Offers a frame to the NIC TX path, buffering it for retry when the
     /// dataplane is down for a bitstream reprogram. Returns
     /// `(queued, deferred)`.
@@ -2044,66 +1805,6 @@ impl Host {
             }
             Ok(TxDisposition::Drop { .. }) => (false, false),
             Err(_) => (false, false),
-        }
-    }
-
-    /// [`Host::app_send`] with the ring in a worker shard: the payload
-    /// store and NIC DMA-read (and their LLC traffic) run on the owning
-    /// shard, under its lock, on this thread; doorbells, TX scheduling,
-    /// and retry buffering stay on the host. Costs match the
-    /// single-queue path exactly.
-    fn app_send_workers(
-        &mut self,
-        id: ConnId,
-        pid: Pid,
-        key: RingKey,
-        packet: &Packet,
-        now: Time,
-    ) -> SendResult {
-        let owner = self
-            .workers
-            .as_ref()
-            .expect("worker mode active")
-            .owner_of(key);
-        let Some(shard) = owner else {
-            self.stats.ring_missing += 1;
-            return SendResult {
-                queued: false,
-                deferred: false,
-                cpu: Dur::ZERO,
-            };
-        };
-        let reply = self
-            .workers
-            .as_mut()
-            .expect("worker mode active")
-            .send(shard, key, packet);
-        let produce = match reply {
-            SendReply::Produced(cost) => cost,
-            SendReply::Full => {
-                return SendResult {
-                    queued: false,
-                    deferred: false,
-                    cpu: self.cfg.mem.llc_hit,
-                }
-            }
-            SendReply::Missing => {
-                self.stats.ring_missing += 1;
-                return SendResult {
-                    queued: false,
-                    deferred: false,
-                    cpu: Dur::ZERO,
-                };
-            }
-        };
-        let doorbell = self.doorbell_cost();
-        let (queued, deferred) = self.offer_tx(id, packet, now);
-        let cpu = produce + doorbell;
-        self.sched.charge_busy(pid, cpu);
-        SendResult {
-            queued,
-            deferred,
-            cpu,
         }
     }
 
@@ -2183,6 +1884,7 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ShapingPolicy;
     use pkt::PacketBuilder;
 
     fn host() -> Host {
@@ -2725,7 +2427,7 @@ mod tests {
                     } {}
                 }
             }
-            let llc = h.llc().stats();
+            let llc = h.llc_stats();
             (
                 log,
                 recv_cpu,

@@ -20,11 +20,10 @@
 //!   bitstream reprograms, and audited against the NIC.
 //! * [`policy`] — the administrator-facing policy types (port
 //!   reservations, shaping policies) and how they lower onto the NIC.
-//! * [`workers`] — the multi-queue sharding layer: [`Host::run_workers`]
-//!   starts one worker thread and one lock-owned shard per RSS queue,
-//!   each shard holding its connections' ring pairs and telemetry,
-//!   merged at a quiesce barrier so policy commits stay atomic across
-//!   shards.
+//! * [`workers`] — the dataplane shards: every ring pair lives in a
+//!   lock-owned shard. Inline mode is one caller-run shard with the
+//!   whole LLC; [`Host::run_workers`] re-splits it into one shard and
+//!   one worker thread per RSS queue.
 //! * [`tools`] — `ksniff` (tcpdump), `kfilter` (iptables), `kqdisc`
 //!   (tc), `knetstat` (netstat), and [`tools::trace`] (`ktrace`, the
 //!   per-packet lifecycle introspector the paper argues interposition
@@ -56,4 +55,4 @@ pub use policy::{PortReservation, ShapingPolicy};
 pub use telemetry::{
     DropCause, Owner, Profile, SinkStats, Snapshot, Stage, TraceEvent, TraceFilter, TraceVerdict,
 };
-pub use workers::{ShardReport, ShardStats, WorkerError};
+pub use workers::WorkerError;

@@ -1,53 +1,58 @@
-//! Per-queue dataplane workers: the multi-queue sharding layer.
+//! Dataplane shards: the one layer every fast-path frame crosses.
 //!
-//! [`Host::run_workers`](crate::Host::run_workers) starts one worker
-//! thread per NIC RSS queue. Each queue has a *shard*: the ring pairs of
-//! every connection whose flow hash steers to its queue, a private LLC
-//! slice, local delivery counters, and a buffer of trace events stamped
-//! with the policy generation in force when the frame was handled. A
-//! shard lives behind its own lock (`Arc<Mutex<Shard>>`), not inside its
-//! thread, so any thread can run shard code and no shard shares state
-//! with another.
+//! Every connection's ring pair lives in a *shard*: the ring pairs of
+//! every connection whose flow hash steers to its RSS queue, an LLC
+//! model, and the trace ids of the frames queued in its rings. A shard
+//! lives behind its own lock (`Arc<Mutex<Shard>>`), not inside a thread,
+//! so any thread can run shard code and no shard shares state with
+//! another.
+//!
+//! A host always runs its dataplane through a pool of shards. Inline
+//! mode is a pool of one *caller-run* shard: it holds the whole LLC
+//! ([`LlcPartitionPlan::split`] with one shard is the host geometry),
+//! has no thread, and the calling thread runs it.
+//! [`Host::run_workers`](crate::Host::run_workers) re-splits the pool
+//! into one shard and one worker thread per NIC RSS queue, each with a
+//! way-disjoint LLC slice; [`Host::stop_workers`](crate::Host::stop_workers)
+//! folds it back into one caller-run shard. The rings move between
+//! pools; nothing else changes.
 //!
 //! The calling thread runs every per-call op — app receive and send,
 //! ring install and close, drain, quiesce, trace clear — directly on the
-//! locked shard, with no thread hop. A pump batch is the one thing
-//! handed off: each shard's jobs go into its *inbox* and its thread is
-//! woken. The caller then visits the shards in index order, runs every
-//! inbox no thread has taken yet, and collects each shard's *outbox*
-//! under the lock. It only ever waits on a thread that is already
-//! running a batch.
+//! locked shard, with no thread hop. A caller-run shard takes each RX
+//! frame the same way, as the host classifies it. A pump batch is the
+//! one thing a threaded pool hands off: each shard's jobs go into its
+//! *inbox* and its thread is woken. The caller then visits the shards in
+//! index order, runs every inbox no thread has taken yet, and collects
+//! each shard's *outbox* under the lock. It only ever waits on a thread
+//! that is already running a batch. Either way a frame reaches its ring
+//! through the one shard delivery function.
 //!
-//! Shard-local state is reconciled at a **quiesce barrier**
-//! ([`Host::quiesce`](crate::Host::quiesce)): every shard drains its
-//! counters, busy time, and buffered events back to the host, which
-//! merges them into the global [`HostStats`](crate::host::HostStats),
-//! the per-core CPU meters, and the telemetry hub (via
-//! [`telemetry::Telemetry::absorb`], which preserves each event's
-//! generation stamp). Policy commits, bitstream-reprogram reconciles,
-//! and audits all quiesce first, so a generation swap is atomic across
-//! shards: no shard can keep emitting under the old generation after the
-//! commit returns.
+//! A shard only moves frames and models the cache. The host counts each
+//! outcome, charges worker-core busy time, and emits the ring trace
+//! events itself, in arrival order. At the **quiesce barrier**
+//! ([`Host::quiesce`](crate::Host::quiesce)) each shard's LLC counters
+//! merge back into the host's metrics. Policy commits, bitstream
+//! reconciles, and audits all quiesce first.
 //!
 //! Determinism: the caller touches a shard only when it has no batch in
 //! flight, and every outbox is collected before the pump returns, so each
 //! shard's rings and LLC model see the same operation sequence whichever
-//! thread ran its batch. Replies are reassembled in arrival order. A
+//! thread ran its batch. Outcomes are applied in arrival order. A
 //! multi-worker run is therefore a pure function of its inputs —
 //! replaying the same frame schedule twice produces identical reports,
-//! and `run_workers(1)` is byte-identical to the single-queue
+//! and `run_workers(1)` is byte-identical to the caller-run
 //! [`Host::pump`](crate::Host::pump) path.
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use memsim::{Llc, LlcConfig, LlcPartitionPlan, LlcStats, MemCosts};
-use pkt::{FiveTuple, Packet};
-use sim::{Dur, Time};
-use telemetry::{DropCause, Owner, Stage, TraceEvent, TraceVerdict};
+use pkt::Packet;
+use sim::Dur;
 
 use crate::host::{FastMap, PktRing, RingKey};
 
@@ -71,9 +76,8 @@ pub enum WorkerError {
     /// connections of one process may steer to different queues.
     SharedRings,
     /// Shard code panicked. The supervisor caught it at the shard
-    /// boundary: the shard's rings, counters, and events were salvaged
-    /// and the shard was restarted in place — the remaining shards never
-    /// stop serving.
+    /// boundary: the shard's rings were salvaged and the shard was
+    /// restarted in place — the remaining shards never stop serving.
     ShardPanicked {
         /// Which shard crashed.
         shard: usize,
@@ -102,77 +106,41 @@ impl std::fmt::Display for WorkerError {
 
 impl std::error::Error for WorkerError {}
 
-/// Delivery counters a shard maintains locally between quiesces.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Frames DMA'd into this shard's RX rings.
-    pub fast_delivered: u64,
-    /// Frames dropped because the target ring was full.
-    pub ring_drops: u64,
-    /// Frames whose connection had no ring in this shard.
-    pub ring_missing: u64,
-}
-
-/// What one shard hands back at a quiesce barrier. Counters and events
-/// are *deltas* since the previous quiesce; the shard resets them after
-/// reporting.
+/// What one shard hands back at a quiesce barrier.
 #[derive(Debug)]
-pub struct ShardReport {
-    /// Delivery counters accumulated since the last quiesce.
-    pub stats: ShardStats,
-    /// Trace events buffered since the last quiesce, each stamped with
-    /// the policy generation in force when it was recorded.
-    pub events: Vec<TraceEvent>,
-    /// Worker CPU consumed on deliveries since the last quiesce.
-    pub busy: Dur,
-    /// LLC traffic through this shard's private partition since the last
-    /// quiesce (hits, misses, DDIO evictions).
+pub(crate) struct ShardReport {
+    /// LLC traffic through this shard's partition since the last quiesce
+    /// (hits, misses, DDIO evictions); the shard restarts its counters.
     pub llc: LlcStats,
-    /// Frames currently resident in this shard's RX rings (an absolute
-    /// occupancy, not a delta — the audit's third ledger).
+    /// Traced frames currently resident in this shard's RX rings (an
+    /// absolute occupancy, not a delta — the audit's third ledger).
     pub queued_fids: u64,
-    /// Arena-backed frame descriptors currently resident in this shard's
-    /// rings, both directions (absolute occupancy — the host's arena
-    /// leak audit sums these against the arena's live-slot count).
-    pub arena_resident: u64,
 }
 
 /// One frame the host asks a shard to DMA into its rings.
 #[derive(Debug)]
 pub(crate) struct DeliverJob {
-    /// Position in the pump batch, for reassembly in arrival order.
-    pub idx: usize,
+    /// The host's handle for this frame, echoed back with its outcome.
+    pub slot: usize,
     /// The ring pair the frame targets.
     pub key: RingKey,
     /// The frame itself, riding the ring as its descriptor. The host
     /// keeps its own handle to the same buffer, so a frame the shard
     /// never answers can still be rerouted after a crash.
     pub pkt: Packet,
-    /// Frame length on the wire.
-    pub len: usize,
-    /// Telemetry frame id (0 when tracing is off).
+    /// Telemetry frame id, queued beside the frame while tracing.
     pub fid: u64,
-    /// RX five-tuple, for trace events.
-    pub tuple: Option<FiveTuple>,
-    /// Owning process of the destination ring, for drop attribution in
-    /// trace events. Only populated when `trace` is set.
-    pub owner: Option<Owner>,
-    /// When the NIC finished with the frame.
-    pub ready_at: Time,
     /// Whether the flow was resolved from the cold tier: its ring DMA
-    /// bypasses DDIO allocation so demoted flows cannot thrash the
-    /// shard's LLC partition.
+    /// bypasses DDIO allocation so demoted flows cannot thrash the LLC.
     pub cold: bool,
     /// Whether tracing is enabled for this batch.
     pub trace: bool,
-    /// Policy generation in force when the batch was dispatched.
-    pub generation: u64,
 }
 
 /// Shard-side outcome of one [`DeliverJob`].
 #[derive(Clone, Copy, Debug)]
 struct DeliverReply {
-    idx: usize,
+    slot: usize,
     outcome: ShardOutcome,
 }
 
@@ -218,7 +186,7 @@ pub(crate) enum SendReply {
     Missing,
 }
 
-/// One ring pair in flight between shards (rebalance / teardown).
+/// One ring pair in flight between shards (install, re-shard, re-split).
 pub(crate) struct RingEntry {
     pub key: RingKey,
     pub rx: PktRing,
@@ -235,13 +203,13 @@ thread_local! {
 
 /// The state of one shard, owned by its lock.
 struct Shard {
-    rings: HashMap<RingKey, (PktRing, PktRing)>,
+    rings: FastMap<RingKey, (PktRing, PktRing)>,
+    /// Frame ids sitting in each RX ring, FIFO order — lets a receive
+    /// attribute the dequeued slot to the frame that filled it.
+    /// Maintained only while tracing is enabled.
     ring_frame_ids: FastMap<RingKey, VecDeque<u64>>,
     llc: Llc,
     mem: MemCosts,
-    stats: ShardStats,
-    events: Vec<TraceEvent>,
-    busy: Dur,
     /// The pump batch waiting to run. Jobs leave it one at a time, so
     /// after a crash it holds exactly the frames never started.
     inbox: VecDeque<DeliverJob>,
@@ -259,13 +227,10 @@ struct Shard {
 impl Shard {
     fn new(llc: LlcConfig, mem: MemCosts) -> Shard {
         Shard {
-            rings: HashMap::new(),
+            rings: FastMap::default(),
             ring_frame_ids: FastMap::default(),
             llc: Llc::new(llc),
             mem,
-            stats: ShardStats::default(),
-            events: Vec::new(),
-            busy: Dur::ZERO,
             inbox: VecDeque::new(),
             outbox: Vec::new(),
             current: None,
@@ -310,72 +275,41 @@ impl Shard {
                 None => {}
             }
             let job = self.inbox.pop_front().expect("inbox is not empty");
-            self.current = Some(job.idx);
-            let reply = self.deliver(job);
+            self.current = Some(job.slot);
+            let reply = DeliverReply {
+                slot: job.slot,
+                outcome: self.deliver(job),
+            };
             self.outbox.push(reply);
             self.current = None;
         }
     }
 
-    fn deliver(&mut self, job: DeliverJob) -> DeliverReply {
+    fn deliver(&mut self, job: DeliverJob) -> ShardOutcome {
         let Some((rx_ring, _)) = self.rings.get_mut(&job.key) else {
-            self.stats.ring_missing += 1;
-            return DeliverReply {
-                idx: job.idx,
-                outcome: ShardOutcome::RingMissing,
-            };
+            return ShardOutcome::RingMissing;
         };
         // The packet handle itself is the ring descriptor: a refused
-        // produce drops it (refcount release), never copies it.
+        // produce drops it (refcount release), never copies it. Cold-tier
+        // flows DMA with DDIO bypass so their ring traffic cannot evict
+        // the DDIO lines hot flows depend on (the §5 cliff mechanism).
+        let len = job.pkt.len();
         let produced = if job.cold {
-            rx_ring.produce_dma_bypass_with(job.pkt, job.len, &mut self.llc, &self.mem)
+            rx_ring.produce_dma_bypass_with(job.pkt, len, &mut self.llc, &self.mem)
         } else {
-            rx_ring.produce_dma_with(job.pkt, job.len, &mut self.llc, &self.mem)
+            rx_ring.produce_dma_with(job.pkt, len, &mut self.llc, &self.mem)
         };
         match produced {
             Ok(cost) => {
-                self.stats.fast_delivered += 1;
-                self.busy += cost;
                 if job.trace {
                     self.ring_frame_ids
                         .entry(job.key)
                         .or_default()
                         .push_back(job.fid);
-                    self.events.push(TraceEvent {
-                        frame_id: job.fid,
-                        at: job.ready_at,
-                        stage: Stage::RingEnqueue,
-                        verdict: TraceVerdict::Pass,
-                        tuple: job.tuple,
-                        len: job.len as u32,
-                        owner: job.owner,
-                        generation: job.generation,
-                    });
                 }
-                DeliverReply {
-                    idx: job.idx,
-                    outcome: ShardOutcome::Fast(cost),
-                }
+                ShardOutcome::Fast(cost)
             }
-            Err(_) => {
-                self.stats.ring_drops += 1;
-                if job.trace {
-                    self.events.push(TraceEvent {
-                        frame_id: job.fid,
-                        at: job.ready_at,
-                        stage: Stage::RingEnqueue,
-                        verdict: TraceVerdict::Drop(DropCause::RingFull),
-                        tuple: job.tuple,
-                        len: job.len as u32,
-                        owner: job.owner,
-                        generation: job.generation,
-                    });
-                }
-                DeliverReply {
-                    idx: job.idx,
-                    outcome: ShardOutcome::RingFull,
-                }
-            }
+            Err(_) => ShardOutcome::RingFull,
         }
     }
 
@@ -426,29 +360,21 @@ impl Shard {
         self.rings.insert(e.key, (e.rx, e.tx));
     }
 
-    fn close(&mut self, key: RingKey) {
-        self.rings.remove(&key);
-        self.ring_frame_ids.remove(&key);
-    }
-
-    fn clear_trace(&mut self) {
-        self.events.clear();
-        self.ring_frame_ids.clear();
+    fn take_ring(&mut self, key: RingKey) -> Option<RingEntry> {
+        let (rx, tx) = self.rings.remove(&key)?;
+        Some(RingEntry {
+            key,
+            rx,
+            tx,
+            fids: self.ring_frame_ids.remove(&key).unwrap_or_default(),
+        })
     }
 
     fn drain_rings(&mut self) -> Vec<RingEntry> {
         let mut keys: Vec<RingKey> = self.rings.keys().copied().collect();
         keys.sort_unstable_by_key(|k| k.order());
         keys.into_iter()
-            .map(|key| {
-                let (rx, tx) = self.rings.remove(&key).expect("key came from the map");
-                RingEntry {
-                    key,
-                    rx,
-                    tx,
-                    fids: self.ring_frame_ids.remove(&key).unwrap_or_default(),
-                }
-            })
+            .filter_map(|key| self.take_ring(key))
             .collect()
     }
 
@@ -456,21 +382,17 @@ impl Shard {
         let llc = self.llc.stats();
         self.llc.reset_stats(); // contents stay; counters restart as deltas
         ShardReport {
-            stats: std::mem::take(&mut self.stats),
-            events: std::mem::take(&mut self.events),
-            busy: std::mem::replace(&mut self.busy, Dur::ZERO),
             llc,
             queued_fids: self.ring_frame_ids.values().map(|q| q.len() as u64).sum(),
-            arena_resident: self
-                .rings
-                .values()
-                .map(|(rx, tx)| {
-                    (rx.iter_descs().filter(|p| p.is_arena()).count()
-                        + tx.iter_descs().filter(|p| p.is_arena()).count())
-                        as u64
-                })
-                .sum(),
         }
+    }
+
+    fn arena_resident(&self) -> u64 {
+        self.rings
+            .values()
+            .flat_map(|(rx, tx)| rx.iter_descs().chain(tx.iter_descs()))
+            .filter(|p| p.is_arena())
+            .count() as u64
     }
 }
 
@@ -517,11 +439,6 @@ fn worker_loop(shard: &Mutex<Shard>, stop: &AtomicBool) {
     }
 }
 
-struct Worker {
-    shard: Arc<Mutex<Shard>>,
-    thread: JoinHandle<()>,
-}
-
 /// One supervised shard restart, recorded for the host to account.
 #[derive(Clone, Debug)]
 pub(crate) struct ShardCrash {
@@ -546,31 +463,29 @@ struct Supervisor {
     mem: MemCosts,
     /// Per-shard cumulative restart counts (drives backoff doubling).
     restarts: Vec<u64>,
-    /// Reports salvaged from crashed shards, folded into the next
-    /// quiesce so no counter or event is lost.
-    pending_reports: Vec<(usize, ShardReport)>,
+    /// LLC traffic of crashed shards since the last quiesce, folded
+    /// into the next quiesce so no counter is lost.
+    pending_llc: Vec<(usize, LlcStats)>,
     /// Crash records since the last [`WorkerPool::take_crashes`].
     crashes: Vec<ShardCrash>,
 }
 
 impl Supervisor {
     /// Restarts crashed shard `i` in place: its ring pairs (host memory,
-    /// so they survive the crash) are drained *before* the final report,
-    /// so the banked report's `queued_fids` is zero and occupancy travels
-    /// with the rings. The shard starts over with a fresh LLC partition,
-    /// the rings are reinstalled, the report is banked for the next
-    /// quiesce, and the crash is recorded with its backoff penalty.
+    /// so they survive the crash) are drained and reinstalled into a
+    /// shard with a fresh LLC partition, the old partition's traffic is
+    /// banked for the next quiesce, and the crash is recorded with its
+    /// backoff penalty.
     fn salvage(&mut self, i: usize, s: &mut Shard) {
         let payload = s.crashed.take().expect("salvage follows a crash");
         let rings = s.drain_rings();
-        let report = s.report();
+        self.pending_llc.push((i, s.llc.stats()));
         *s = Shard::new(self.plan.shard(i).clone(), self.mem.clone());
         for e in rings {
             s.install(e);
         }
         self.restarts[i] += 1;
         let n = self.restarts[i];
-        self.pending_reports.push((i, report));
         self.crashes.push(ShardCrash {
             shard: i,
             payload,
@@ -580,48 +495,58 @@ impl Supervisor {
     }
 }
 
-/// The host-side handle to the shards: one lock-owned shard and one
-/// thread per queue, the key→shard ownership map, and the shard
-/// supervisor, which catches a panic in shard code on any thread,
-/// salvages and restarts the shard, and records the crash for the host
-/// to account (restart counters, backoff CPU penalty, recovery
-/// telemetry).
+/// The host-side handle to the shards: one lock-owned shard per LLC
+/// partition, one worker thread per shard in a threaded pool (none in
+/// the caller-run pool), and the shard supervisor, which catches a panic
+/// in shard code on any thread, salvages and restarts the shard, and
+/// records the crash for the host to account (restart counters, backoff
+/// CPU penalty, recovery telemetry).
 pub(crate) struct WorkerPool {
-    workers: Vec<Worker>,
+    shards: Vec<Arc<Mutex<Shard>>>,
+    /// One worker thread per shard; empty when the caller runs them.
+    threads: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     /// Jobs for the next [`WorkerPool::deliver`], one list per shard.
     staged: Vec<Vec<DeliverJob>>,
-    shard_of: HashMap<RingKey, usize>,
     sup: Supervisor,
 }
 
 impl WorkerPool {
-    pub(crate) fn new(n: usize, plan: LlcPartitionPlan, mem: MemCosts) -> WorkerPool {
-        assert!(n > 0, "need at least one worker");
-        assert_eq!(plan.len(), n, "one LLC partition per shard");
+    /// A pool with one shard per partition of `plan`. With `threaded`,
+    /// each shard also gets a worker thread; without, the caller runs
+    /// every shard.
+    pub(crate) fn new(plan: LlcPartitionPlan, mem: MemCosts, threaded: bool) -> WorkerPool {
         quiet_shard_panics();
+        let n = plan.len();
         let stop = Arc::new(AtomicBool::new(false));
-        let workers = (0..n)
-            .map(|i| {
-                let shard = Arc::new(Mutex::new(Shard::new(plan.shard(i).clone(), mem.clone())));
-                let (s, st) = (Arc::clone(&shard), Arc::clone(&stop));
-                let thread = std::thread::Builder::new()
-                    .name(format!("norman-worker-{i}"))
-                    .spawn(move || worker_loop(&s, &st))
-                    .expect("spawn worker thread");
-                Worker { shard, thread }
-            })
+        let shards: Vec<_> = (0..n)
+            .map(|i| Arc::new(Mutex::new(Shard::new(plan.shard(i).clone(), mem.clone()))))
             .collect();
+        let threads = if threaded {
+            shards
+                .iter()
+                .enumerate()
+                .map(|(i, shard)| {
+                    let (s, st) = (Arc::clone(shard), Arc::clone(&stop));
+                    std::thread::Builder::new()
+                        .name(format!("norman-worker-{i}"))
+                        .spawn(move || worker_loop(&s, &st))
+                        .expect("spawn worker thread")
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         WorkerPool {
-            workers,
+            shards,
+            threads,
             stop,
             staged: (0..n).map(|_| Vec::new()).collect(),
-            shard_of: HashMap::new(),
             sup: Supervisor {
                 plan,
                 mem,
                 restarts: vec![0; n],
-                pending_reports: Vec::new(),
+                pending_llc: Vec::new(),
                 crashes: Vec::new(),
             },
         }
@@ -631,7 +556,7 @@ impl WorkerPool {
     /// lock and panic boundary. A crash is salvaged and `op` retried once
     /// on the restarted shard, which inherited the rings.
     fn exec<R>(&mut self, i: usize, mut op: impl FnMut(&mut Shard) -> R) -> R {
-        let mut s = lock(&self.workers[i].shard);
+        let mut s = lock(&self.shards[i]);
         if let Some(r) = s.guarded(&mut op) {
             return r;
         }
@@ -648,7 +573,7 @@ impl WorkerPool {
     /// [`ShardOutcome::Crashed`]. Either way the crash record is
     /// available via [`WorkerPool::take_crashes`] once it fired.
     pub(crate) fn inject_panic(&mut self, shard: usize, msg: &str, after_frames: Option<usize>) {
-        let mut s = lock(&self.workers[shard].shard);
+        let mut s = lock(&self.shards[shard]);
         match after_frames {
             Some(k) => s.armed = Some((k, msg.to_string())),
             None => {
@@ -669,8 +594,14 @@ impl WorkerPool {
         self.sup.restarts.iter().sum()
     }
 
-    pub(crate) fn num_workers(&self) -> usize {
-        self.workers.len()
+    pub(crate) fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Whether each shard has its own worker thread (worker mode), as
+    /// opposed to one caller-run shard.
+    pub(crate) fn threaded(&self) -> bool {
+        !self.threads.is_empty()
     }
 
     /// The LLC partition plan shards were built from (audited by
@@ -679,22 +610,14 @@ impl WorkerPool {
         &self.sup.plan
     }
 
-    /// Which shard owns `key`, if any.
-    pub(crate) fn owner_of(&self, key: RingKey) -> Option<usize> {
-        self.shard_of.get(&key).copied()
+    /// Whether `shard` holds a ring pair for `key`.
+    pub(crate) fn has_ring(&mut self, shard: usize, key: RingKey) -> bool {
+        self.exec(shard, |s| s.rings.contains_key(&key))
     }
 
     /// Installs a ring pair (with its tracked frame ids) into `shard`.
-    pub(crate) fn install(
-        &mut self,
-        shard: usize,
-        key: RingKey,
-        rx: PktRing,
-        tx: PktRing,
-        fids: VecDeque<u64>,
-    ) {
-        self.shard_of.insert(key, shard);
-        let mut entry = Some(RingEntry { key, rx, tx, fids });
+    pub(crate) fn install(&mut self, shard: usize, entry: RingEntry) {
+        let mut entry = Some(entry);
         self.exec(shard, |s| {
             if let Some(e) = entry.take() {
                 s.install(e);
@@ -702,10 +625,16 @@ impl WorkerPool {
         });
     }
 
-    /// Tears down `key`'s rings wherever they live.
-    pub(crate) fn close(&mut self, key: RingKey) {
-        if let Some(shard) = self.shard_of.remove(&key) {
-            self.exec(shard, |s| s.close(key));
+    /// Tears down `key`'s rings in `shard`.
+    pub(crate) fn close(&mut self, shard: usize, key: RingKey) {
+        self.exec(shard, |s| drop(s.take_ring(key)));
+    }
+
+    /// Moves `key`'s ring pair from shard `from` to shard `to` (a policy
+    /// commit changed the RSS steering).
+    pub(crate) fn move_ring(&mut self, key: RingKey, from: usize, to: usize) {
+        if let Some(e) = self.exec(from, |s| s.take_ring(key)) {
+            self.install(to, e);
         }
     }
 
@@ -714,41 +643,54 @@ impl WorkerPool {
         self.staged[shard].push(job);
     }
 
-    /// Runs the staged batch on every shard and writes each frame's
-    /// outcome at its arrival index. Each batch goes into its shard's
-    /// inbox and the shard's thread is woken; the caller then runs, in
-    /// shard order, every inbox no thread has taken yet, and last
-    /// collects every outbox in shard order — salvaging crashed shards
-    /// in that order too — so the result is deterministic regardless of
-    /// thread scheduling.
-    pub(crate) fn deliver(&mut self, outcomes: &mut [Option<ShardOutcome>]) {
-        for (w, jobs) in self.workers.iter().zip(&mut self.staged) {
+    /// Runs the staged batch on every shard and hands each frame's
+    /// outcome to `answer` with its job's slot. Each batch goes into its
+    /// shard's inbox and the shard's thread is woken; the caller then
+    /// runs, in shard order, every inbox no thread has taken yet, and
+    /// last collects every outbox in shard order — salvaging crashed
+    /// shards in that order too — so the result is deterministic
+    /// regardless of thread scheduling.
+    pub(crate) fn deliver(&mut self, mut answer: impl FnMut(usize, ShardOutcome)) {
+        for ((shard, jobs), t) in self.shards.iter().zip(&mut self.staged).zip(&self.threads) {
             if !jobs.is_empty() {
-                lock(&w.shard).inbox.extend(jobs.drain(..));
-                w.thread.thread().unpark();
+                lock(shard).inbox.extend(jobs.drain(..));
+                t.thread().unpark();
             }
         }
-        for w in &self.workers {
-            if let Ok(mut s) = w.shard.try_lock() {
+        for shard in &self.shards {
+            if let Ok(mut s) = shard.try_lock() {
                 s.take_batch();
             }
         }
-        for (i, w) in self.workers.iter().enumerate() {
-            let mut s = lock(&w.shard);
+        for (i, shard) in self.shards.iter().enumerate() {
+            let mut s = lock(shard);
             for r in s.outbox.drain(..) {
-                outcomes[r.idx] = Some(r.outcome);
+                answer(r.slot, r.outcome);
             }
             if s.crashed.is_some() {
                 // Frames the shard never answered come back Crashed; the
                 // host reroutes them through the slow path, so nothing
                 // silently disappears.
                 let current = s.current.take();
-                for idx in current.into_iter().chain(s.inbox.drain(..).map(|j| j.idx)) {
-                    outcomes[idx] = Some(ShardOutcome::Crashed);
+                for slot in current.into_iter().chain(s.inbox.drain(..).map(|j| j.slot)) {
+                    answer(slot, ShardOutcome::Crashed);
                 }
                 self.sup.salvage(i, &mut s);
             }
         }
+    }
+
+    /// Delivers one frame on shard `shard` from the calling thread — how
+    /// a caller-run shard takes its frames, one at a time as the host
+    /// classifies them.
+    pub(crate) fn deliver_now(&mut self, shard: usize, job: DeliverJob) -> ShardOutcome {
+        let mut job = Some(job);
+        self.exec(shard, |s| match job.take() {
+            Some(job) => s.deliver(job),
+            // Only a retry after a crash mid-delivery finds the job
+            // gone: the frame is still in host memory, so reroute it.
+            None => ShardOutcome::Crashed,
+        })
     }
 
     pub(crate) fn recv(&mut self, shard: usize, key: RingKey, trace: bool) -> RecvReply {
@@ -759,59 +701,54 @@ impl WorkerPool {
         self.exec(shard, |s| s.send(key, pkt.clone(), pkt.len()))
     }
 
-    /// The quiesce barrier: every shard drains its counters, busy time,
-    /// and buffered events. Reports come back in shard (core) order,
-    /// with anything salvaged from crashed shards folded back in so the
-    /// merge is conservation-exact across restarts.
+    /// The quiesce barrier: every shard reports its LLC traffic since the
+    /// last barrier and its traced ring occupancy. Reports come back in
+    /// shard (core) order, with the traffic of crashed shards' old
+    /// partitions folded back in.
     pub(crate) fn quiesce(&mut self) -> Vec<ShardReport> {
-        let mut reports: Vec<ShardReport> = (0..self.workers.len())
+        let mut reports: Vec<ShardReport> = (0..self.shards.len())
             .map(|i| self.exec(i, Shard::report))
             .collect();
-        // Fold in reports salvaged from crashed shards since the last
-        // quiesce: their events predate the live report's, so prepend;
-        // counters and busy time sum. queued_fids needs no folding — the
-        // salvage drained the rings before reporting (so its own count
-        // is zero) and the restarted shard that inherited them reports
-        // the occupancy.
-        for (i, banked) in std::mem::take(&mut self.sup.pending_reports) {
-            let live = &mut reports[i];
-            live.stats.fast_delivered += banked.stats.fast_delivered;
-            live.stats.ring_drops += banked.stats.ring_drops;
-            live.stats.ring_missing += banked.stats.ring_missing;
-            live.busy += banked.busy;
-            live.llc.absorb(&banked.llc);
-            let mut events = banked.events;
-            events.append(&mut live.events);
-            live.events = events;
+        for (i, llc) in std::mem::take(&mut self.sup.pending_llc) {
+            reports[i].llc.absorb(&llc);
         }
         reports
     }
 
-    /// Clears trace buffers in every shard (a `start_trace` restart).
+    /// Arena-backed frame descriptors resident in every shard's rings,
+    /// both directions (the arena leak audit's ring term).
+    pub(crate) fn arena_resident(&mut self) -> u64 {
+        (0..self.shards.len())
+            .map(|i| self.exec(i, |s| s.arena_resident()))
+            .sum()
+    }
+
+    /// The LLC counters shard `i` has accumulated since its last report.
+    pub(crate) fn live_llc_stats(&self, i: usize) -> LlcStats {
+        lock(&self.shards[i]).llc.stats()
+    }
+
+    /// Runs `f` on shard `i`'s LLC model under the shard's lock.
+    pub(crate) fn with_llc<R>(&mut self, i: usize, f: impl FnOnce(&mut Llc) -> R) -> R {
+        f(&mut lock(&self.shards[i]).llc)
+    }
+
+    /// Clears the traced frame ids in every shard (a `start_trace`
+    /// restart).
     pub(crate) fn clear_trace(&mut self) {
-        for i in 0..self.workers.len() {
-            self.exec(i, Shard::clear_trace);
+        for i in 0..self.shards.len() {
+            self.exec(i, |s| s.ring_frame_ids.clear());
         }
     }
 
-    /// Pulls every ring pair out of every shard (teardown or rebalance).
+    /// Pulls every ring pair out of every shard, in shard order (a pool
+    /// re-split).
     pub(crate) fn drain_all(&mut self) -> Vec<RingEntry> {
         let mut entries = Vec::new();
-        for i in 0..self.workers.len() {
+        for i in 0..self.shards.len() {
             entries.append(&mut self.exec(i, Shard::drain_rings));
         }
-        self.shard_of.clear();
         entries
-    }
-
-    /// Moves every ring pair to the shard `assign` names (missing keys
-    /// default to shard 0). Called after a policy commit changed the RSS
-    /// steering, under the quiesce barrier.
-    pub(crate) fn rebalance(&mut self, assign: &HashMap<RingKey, usize>) {
-        for e in self.drain_all() {
-            let shard = assign.get(&e.key).copied().unwrap_or(0) % self.workers.len();
-            self.install(shard, e.key, e.rx, e.tx, e.fids);
-        }
     }
 }
 
@@ -820,9 +757,9 @@ impl Drop for WorkerPool {
         // Wake every thread into the stop flag and join, so no thread
         // outlives the pool.
         self.stop.store(true, Ordering::Release);
-        for w in self.workers.drain(..) {
-            w.thread.thread().unpark();
-            let _ = w.thread.join();
+        for t in self.threads.drain(..) {
+            t.thread().unpark();
+            let _ = t.join();
         }
     }
 }

@@ -16,6 +16,9 @@
 //!   time series, and rate meters used by the experiment harnesses.
 //! * [`link`] — serialization/propagation delay modelling for a fixed-rate
 //!   network link.
+//! * [`fault`] — seeded wire faults (loss, corruption, reordering) and
+//!   op-schedule crash and control-op fault injectors.
+//! * [`hash`] — the fast deterministic hasher behind hot-path maps.
 //!
 //! Tracing note: the free-form `sim::trace::Tracer` this crate once
 //! carried is gone. Typed per-packet lifecycle tracing lives in the

@@ -239,23 +239,6 @@ impl Telemetry {
         }
     }
 
-    /// Absorbs events recorded elsewhere — worker shards buffer their
-    /// lifecycle events in plain (`Send`) `Vec`s and hand them to the
-    /// host's hub at the quiesce barrier. Unlike [`Telemetry::emit`], the
-    /// generation each event already carries is preserved: the shard
-    /// stamped the epoch that was in force when the event happened, which
-    /// may predate a commit that landed before the merge. Events still
-    /// feed the ledger and the bounded buffer exactly as if emitted here,
-    /// and absorption is gated on the enabled flag like any emission.
-    pub fn absorb(&self, events: impl IntoIterator<Item = TraceEvent>) {
-        if self.enabled.get() {
-            let mut hub = self.hub.borrow_mut();
-            for event in events {
-                hub.push(event);
-            }
-        }
-    }
-
     /// Registers (or finds) the latency histogram `name`, returning a
     /// dense handle for hot-path recording.
     pub fn register_hist(&self, name: &str) -> HistId {
@@ -573,40 +556,6 @@ mod tests {
         assert_eq!(tel.generation(), 5);
         let clone = tel.clone();
         assert_eq!(clone.generation(), 5, "clones share the generation cell");
-    }
-
-    #[test]
-    fn absorb_preserves_shard_generations() {
-        let tel = Telemetry::new();
-        tel.set_enabled(true);
-        tel.set_generation(7);
-        // A shard recorded these under generation 3, before the host
-        // committed generation 7; the merge must not restamp them.
-        let shard_events = vec![
-            TraceEvent {
-                generation: 3,
-                ..ev(1, Stage::RxDeliver, TraceVerdict::Pass)
-            },
-            TraceEvent {
-                generation: 3,
-                ..ev(2, Stage::RxDrop, TraceVerdict::Drop(DropCause::Malformed))
-            },
-        ];
-        tel.absorb(shard_events);
-        let events = tel.events();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.generation == 3));
-        // Ledger counted them like any emission.
-        assert_eq!(tel.stage_count(Stage::RxDeliver), 1);
-        assert_eq!(tel.drop_count(DropCause::Malformed), 1);
-    }
-
-    #[test]
-    fn absorb_gated_when_disabled() {
-        let tel = Telemetry::new();
-        tel.absorb(vec![ev(1, Stage::RxIngress, TraceVerdict::Pass)]);
-        assert!(tel.is_empty());
-        assert_eq!(tel.stage_count(Stage::RxIngress), 0);
     }
 
     #[test]

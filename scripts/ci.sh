@@ -60,6 +60,9 @@ run_recovery_test() {
 
   echo "==> chaos sweep incl. crash storm + shard panics (full, deterministic)"
   cargo run --release -p bench --bin exp_e9_chaos
+
+  echo "==> chaos sweep results reproduce the committed file byte for byte"
+  git diff --exit-code results/exp_e9_chaos.json
 }
 
 run_trace_pipeline() {

@@ -324,28 +324,6 @@ fn telemetry_events_carry_the_live_generation() {
     assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
 }
 
-#[test]
-fn deprecated_shims_still_route_through_the_control_plane() {
-    // The transition shims must be thin wrappers over update_policy:
-    // each call is a full two-phase commit with its own generation.
-    let mut h = Host::new(HostConfig::default());
-    #[allow(deprecated)]
-    {
-        h.reserve_port(PortReservation::new(5432, Uid(1001)), Time::ZERO)
-            .unwrap();
-        h.install_shaping(ShapingPolicy::new(vec![(Uid(1001), 2.0)]), Time::from_us(1))
-            .unwrap();
-        h.enable_sniffer(SnifferFilter::all(), Time::from_us(2))
-            .unwrap();
-    }
-    assert_eq!(h.policy_generation(), 3);
-    assert_eq!(h.ctrl().stats().commits, 3);
-    assert_eq!(h.reservations().len(), 1);
-    assert!(h.policy().shaping.is_some());
-    assert!(h.nic.sniffer.is_enabled());
-    assert!(h.audit().is_empty(), "audit: {:?}", h.audit());
-}
-
 /// A program that sails through the verifier but exceeds the AOT
 /// compiler's block budget (`MAX_COMPILED_INSNS` < `MAX_INSNS`): pure
 /// straight-line loads followed by a return.

@@ -8,6 +8,13 @@ use overlay::{assemble, verify, Program};
 use pkt::{Mac, PacketBuilder};
 use sim::Time;
 
+/// Single-frame ingress: a batch of one.
+fn rx1(nic: &mut SmartNic, p: &pkt::Packet, now: Time) -> nicsim::RxResult {
+    nic.rx_batch(std::slice::from_ref(p), now)
+        .pop()
+        .expect("one frame in, one result out")
+}
+
 fn udp_to(dst_port: u16, len: usize) -> pkt::Packet {
     PacketBuilder::new()
         .ether(Mac::local(9), Mac::local(1))
@@ -52,17 +59,17 @@ fn custom_assembled_filter_runs_on_the_nic() {
 
     // Small frame to 8080: passes.
     assert!(matches!(
-        nic.rx(&udp_to(8080, 100), Time::ZERO).disposition,
+        rx1(&mut nic, &udp_to(8080, 100), Time::ZERO).disposition,
         RxDisposition::Deliver { .. }
     ));
     // Large frame to 8080: dropped.
     assert!(matches!(
-        nic.rx(&udp_to(8080, 1200), Time::ZERO).disposition,
+        rx1(&mut nic, &udp_to(8080, 1200), Time::ZERO).disposition,
         RxDisposition::Drop { .. }
     ));
     // Large frame to 443: exempt.
     assert!(matches!(
-        nic.rx(&udp_to(443, 1200), Time::ZERO).disposition,
+        rx1(&mut nic, &udp_to(443, 1200), Time::ZERO).disposition,
         RxDisposition::Deliver { .. }
     ));
 }
@@ -133,7 +140,7 @@ fn runtime_faults_fail_closed_not_crash() {
         .unwrap();
     nic.load_program(ProgramSlot::IngressFilter, prog, Time::ZERO)
         .unwrap();
-    let r = nic.rx(&udp_to(8080, 64), Time::ZERO);
+    let r = rx1(&mut nic, &udp_to(8080, 64), Time::ZERO);
     assert!(
         matches!(r.disposition, RxDisposition::Drop { .. }),
         "fail closed"
@@ -141,7 +148,7 @@ fn runtime_faults_fail_closed_not_crash() {
     // The dataplane continues for in-bounds traffic.
     nic.open_connection(rx_tuple(3), 0, 1, "app", false)
         .unwrap();
-    let r = nic.rx(&udp_to(3, 64), Time::ZERO);
+    let r = rx1(&mut nic, &udp_to(3, 64), Time::ZERO);
     assert!(matches!(r.disposition, RxDisposition::Deliver { .. }));
 }
 
@@ -166,11 +173,11 @@ fn slowpath_verdict_routes_to_kernel() {
     nic.load_program(ProgramSlot::IngressFilter, prog, Time::ZERO)
         .unwrap();
     assert!(matches!(
-        nic.rx(&udp_to(9999, 64), Time::ZERO).disposition,
+        rx1(&mut nic, &udp_to(9999, 64), Time::ZERO).disposition,
         RxDisposition::SlowPath { .. }
     ));
     assert!(matches!(
-        nic.rx(&udp_to(80, 64), Time::ZERO).disposition,
+        rx1(&mut nic, &udp_to(80, 64), Time::ZERO).disposition,
         RxDisposition::Deliver { .. }
     ));
 }
@@ -185,7 +192,7 @@ fn accounting_maps_readable_from_control_plane() {
         .unwrap();
     let frame = udp_to(80, 958); // 1000-byte frame
     for _ in 0..10 {
-        nic.rx(&frame, Time::ZERO);
+        rx1(&mut nic, &frame, Time::ZERO);
     }
     assert_eq!(nic.read_accounting_map(slot, 0, 42), Some(10_000));
 }
